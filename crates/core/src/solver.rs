@@ -1568,6 +1568,18 @@ impl Solver {
         crate::cycle::GraphRevision::of(&self.graph, &self.fwd)
     }
 
+    /// The CSR snapshot frozen by the most recent
+    /// [`least_solution`](Solver::least_solution) call, read-only.
+    ///
+    /// It describes the graph as that call saw it: any later
+    /// [`add`](Solver::add) or [`solve`](Solver::solve) leaves it stale
+    /// until the next `least_solution`. `bane-snap`'s writer serializes it
+    /// right after computing the least solution instead of freezing a
+    /// second copy.
+    pub fn csr_snapshot(&self) -> &crate::least::CsrSnapshot {
+        &self.csr
+    }
+
     /// The solver-owned CSR snapshot buffer the least-solution pass loans
     /// out with `mem::take` (borrow splitting against `least_parts`).
     pub(crate) fn csr_snapshot_mut(&mut self) -> &mut crate::least::CsrSnapshot {

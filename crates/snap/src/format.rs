@@ -17,7 +17,7 @@ pub const MAGIC: [u8; 8] = *b"BANESNAP";
 /// format carries no in-band migration machinery, and a snapshot is cheap
 /// to regenerate from the solver (see the compatibility policy in
 /// `docs/SNAPSHOT_FORMAT.md` §6).
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// The endianness marker stored at header offset 12, written in host byte
 /// order. A reader that decodes a different value is running on a host
@@ -31,7 +31,7 @@ pub const HEADER_BYTES: usize = 64;
 /// Byte offset of the [`FORMAT_VERSION`] word within the header.
 pub const VERSION_OFFSET: usize = 8;
 
-/// Byte offset of the FNV-1a checksum word within the header.
+/// Byte offset of the [`checksum`] word within the header.
 pub const CHECKSUM_OFFSET: usize = 48;
 
 /// Size of one section-table entry in bytes
@@ -87,7 +87,7 @@ pub const SECTIONS: [SectionId; 11] = [
     SectionId::Strs,
 ];
 
-/// Number of sections in a v1 file.
+/// Number of sections in a file.
 pub const SECTION_COUNT: usize = SECTIONS.len();
 
 /// File offset at which section payloads begin (header + section table,
@@ -106,7 +106,7 @@ pub mod expr_tag {
     pub const TERM: u32 = 3;
 }
 
-/// Maximum constructor arity representable by the v1 `variance_bits` word.
+/// Maximum constructor arity representable by the `variance_bits` word.
 pub const MAX_ARITY: usize = 32;
 
 /// Rounds `n` up to the next multiple of [`SECTION_ALIGN`].
@@ -114,19 +114,54 @@ pub const fn align_up(n: usize) -> usize {
     (n + SECTION_ALIGN - 1) & !(SECTION_ALIGN - 1)
 }
 
-/// FNV-1a 64-bit over `bytes` — the integrity checksum stored in the
-/// header, computed over every byte from the end of the header to the end
-/// of the file (section table, payloads, and padding included).
+/// Multiplier of the checksum's mixing step (odd, so multiplication by it
+/// is a bijection on `u64`).
+const CHECKSUM_K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Initial states of the checksum's four lanes.
+const CHECKSUM_SEEDS: [u64; 4] =
+    [0x243F_6A88_85A3_08D3, 0x1319_8A2E_0370_7344, 0xA409_3822_299F_31D0, 0x082E_FA98_EC4E_6C89];
+
+/// One checksum step: `x = (state ^ w) * K; x ^ (x >> 29)`.
 ///
-/// FNV-1a is not cryptographic; it guards against truncation and bit rot,
-/// not adversaries (see `docs/SNAPSHOT_FORMAT.md` §5).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// For a fixed `w` the step is a bijection of `state` (xor, odd multiply
+/// and xorshift each are), and for a fixed `state` a bijection of `w`, so
+/// a change to any single input word always changes the result.
+#[inline(always)]
+fn mix(state: u64, w: u64) -> u64 {
+    let x = (state ^ w).wrapping_mul(CHECKSUM_K);
+    x ^ (x >> 29)
+}
+
+/// The integrity checksum stored in the header, computed over every byte
+/// from the end of the header to the end of the file (section table,
+/// payloads, and padding included).
+///
+/// `bytes` is read as little-endian `u64` words, word `i` feeding lane
+/// `i mod 4`; a final partial word is zero-padded. The four lanes are then
+/// folded in order and the byte length is mixed in last. The lanes carry
+/// independent dependency chains, so the multiply latency overlaps across
+/// them. `docs/SNAPSHOT_FORMAT.md` §2.1 defines the function exactly.
+///
+/// The checksum is not cryptographic; it guards against truncation and bit
+/// rot, not adversaries (see `docs/SNAPSHOT_FORMAT.md` §5).
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut lanes = CHECKSUM_SEEDS;
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = mix(*lane, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
     }
-    h
+    // The last 0–31 bytes continue the rotation at lane 0, the final
+    // partial word zero-padded.
+    for (lane, w) in lanes.iter_mut().zip(blocks.remainder().chunks(8)) {
+        let mut word = [0u8; 8];
+        word[..w.len()].copy_from_slice(w);
+        *lane = mix(*lane, u64::from_le_bytes(word));
+    }
+    let h = lanes[1..].iter().fold(lanes[0], |h, &lane| mix(h, lane));
+    mix(h, bytes.len() as u64)
 }
 
 #[cfg(test)]
@@ -147,11 +182,16 @@ mod tests {
     }
 
     #[test]
-    fn fnv_known_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    fn checksum_known_vectors() {
+        // Fixed vectors of the definition in docs/SNAPSHOT_FORMAT.md §2.1,
+        // computed by an independent implementation of that text.
+        assert_eq!(checksum(b""), 0xc5ff_c0c0_a100_ddde);
+        let bytes: Vec<u8> = (1..=43).collect();
+        // One word: lane 0 only.
+        assert_eq!(checksum(&bytes[..8]), 0x463d_32d6_aed6_5c90);
+        // Five full words (all four lanes, then lane 0 again) and a
+        // three-byte tail in lane 1.
+        assert_eq!(checksum(&bytes), 0x49ff_e21f_0fd6_c6c9);
     }
 
     #[test]

@@ -69,11 +69,7 @@ impl Backing {
 
 fn owned_from_bytes(bytes: &[u8]) -> Backing {
     let mut words = vec![0u64; bytes.len().div_ceil(8)];
-    for (i, chunk) in bytes.chunks(8).enumerate() {
-        let mut b = [0u8; 8];
-        b[..chunk.len()].copy_from_slice(chunk);
-        words[i] = u64::from_ne_bytes(b);
-    }
+    cast::u64s_as_bytes_mut(&mut words)[..bytes.len()].copy_from_slice(bytes);
     Backing::Owned { words, len: bytes.len() }
 }
 
@@ -274,7 +270,9 @@ impl QueryIndex {
     /// # Panics
     ///
     /// Panics if `v` is out of range for the snapshotted run (as do all
-    /// the query methods below).
+    /// the query methods below). Ids from outside the program go through
+    /// [`try_points_to`](QueryIndex::try_points_to) and
+    /// [`try_alias`](QueryIndex::try_alias) instead.
     #[inline]
     pub fn rep(&self, v: Var) -> Var {
         Var::new(self.words(SectionId::Rep)[v.index()] as usize)
@@ -306,6 +304,20 @@ impl QueryIndex {
         }
         let sb = self.points_to(b);
         sorted_intersects(sa, sb)
+    }
+
+    /// [`points_to`](QueryIndex::points_to), or `None` when `v` is out of
+    /// range for the snapshotted run — for ids from outside the program.
+    #[inline]
+    pub fn try_points_to(&self, v: Var) -> Option<&[TermId]> {
+        (v.index() < self.meta.var_count).then(|| self.points_to(v))
+    }
+
+    /// [`alias`](QueryIndex::alias), or `None` when either variable is out
+    /// of range for the snapshotted run — for ids from outside the program.
+    pub fn try_alias(&self, a: Var, b: Var) -> Option<bool> {
+        let n = self.meta.var_count;
+        (a.index() < n && b.index() < n).then(|| self.alias(a, b))
     }
 
     /// The canonical predecessor variables of `v`'s representative in the
@@ -524,7 +536,7 @@ fn parse(bytes: &[u8]) -> Result<Parsed, SnapError> {
         return Err(SnapError::Truncated);
     }
     let checksum = rd_u64(bytes, CHECKSUM_OFFSET);
-    if format::fnv1a64(&bytes[HEADER_BYTES..]) != checksum {
+    if format::checksum(&bytes[HEADER_BYTES..]) != checksum {
         return Err(SnapError::ChecksumMismatch);
     }
 

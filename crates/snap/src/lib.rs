@@ -9,7 +9,7 @@
 //!
 //! - [`encode_solver`] / [`write_solver`]: serialize the least solution,
 //!   the frozen canonical CSR graph, and the term/constructor tables into
-//!   a versioned, checksummed, mmap-friendly file (format v1, specified
+//!   a versioned, checksummed, mmap-friendly file (format v2, specified
 //!   byte-for-byte in `docs/SNAPSHOT_FORMAT.md`). Writing is deterministic:
 //!   the same run always produces the same bytes, for every solution-set
 //!   backend.

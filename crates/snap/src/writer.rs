@@ -1,4 +1,4 @@
-//! The snapshot writer: a solved run → format-v1 bytes.
+//! The snapshot writer: a solved run → format-v2 bytes.
 //!
 //! Writing is a pure function of the solved state — no timestamps, no
 //! host identifiers, no randomness — so the same run always produces the
@@ -9,10 +9,11 @@
 //! The writer encodes into an in-memory `Vec<u8>` first
 //! ([`encode_solver`]/[`encode_parts`]) and only then touches the
 //! filesystem ([`write_solver`]), so every structural path is testable
-//! without temp files.
+//! without temp files. The image is allocated once at its exact size and
+//! every section is written straight into its place.
 
-use bane_core::cons::ConRegistry;
-use bane_core::expr::{SetExpr, TermArena};
+use bane_core::cons::{ConRegistry, Variance};
+use bane_core::expr::{SetExpr, TermArena, TermId, Var};
 use bane_core::least::{CsrSnapshot, LeastSolution};
 use bane_core::solver::{Form, Solver};
 use bane_obs::{Counter, Recorder};
@@ -23,8 +24,8 @@ use crate::format::{
     MAGIC, MAX_ARITY, PAYLOAD_START, SECTIONS, SECTION_COUNT,
 };
 
-/// Computes the least solution and frozen CSR of `solver` and encodes them
-/// as a complete snapshot file image.
+/// Computes the least solution of `solver` and encodes it, with the CSR
+/// snapshot that pass froze, as a complete snapshot file image.
 ///
 /// Takes `&mut` because [`Solver::least_solution`] does; call after
 /// [`Solver::solve`] has converged. The emitted bytes are identical for
@@ -34,14 +35,7 @@ use crate::format::{
 /// writer).
 pub fn encode_solver(solver: &mut Solver) -> Result<Vec<u8>, SnapError> {
     let ls = solver.least_solution();
-    let parts = solver.least_parts();
-    let mut rep = Vec::new();
-    parts.rep_map_into(&mut rep);
-    let mut layout = Vec::new();
-    parts.layout_order_into(&rep, &mut layout);
-    let mut csr = CsrSnapshot::new();
-    csr.build(&parts, &layout);
-    encode_parts(parts.form, &csr, &ls, solver.terms(), solver.cons())
+    encode_parts(solver.config().form, solver.csr_snapshot(), &ls, solver.terms(), solver.cons())
 }
 
 /// Encodes already-extracted solved-run parts as a snapshot file image.
@@ -62,116 +56,109 @@ pub fn encode_parts(
     if var_rows.len() != var_count || src_rows.len() != var_count || spans.len() != var_count {
         return Err(SnapError::Corrupt("csr and least solution disagree on variable count"));
     }
-
-    // Build each section's word (or byte, for STRS) payload.
-    let rep_w: Vec<u32> = rep.iter().map(|v| v.raw()).collect();
-    let var_rows_w = flatten_pairs(var_rows);
-    let cols_w: Vec<u32> = cols.iter().map(|v| v.raw()).collect();
-    let src_rows_w = flatten_pairs(src_rows);
-    let srcs_w: Vec<u32> = srcs.iter().map(|t| t.raw()).collect();
-    let spans_w = flatten_pairs(spans);
-    let arena_w: Vec<u32> = arena.iter().map(|t| t.raw()).collect();
-
-    let mut term_rows_w: Vec<u32> = Vec::with_capacity(terms.len() * 2);
-    let mut term_data_w: Vec<u32> = Vec::new();
-    for id in terms.ids() {
-        let data = terms.data(id);
-        let start = term_data_w.len() as u32;
-        term_data_w.push(data.con().raw());
-        for &arg in data.args() {
-            let (tag, payload) = match arg {
-                SetExpr::Zero => (expr_tag::ZERO, 0),
-                SetExpr::One => (expr_tag::ONE, 0),
-                SetExpr::Var(v) => (expr_tag::VAR, v.raw()),
-                SetExpr::Term(t) => (expr_tag::TERM, t.raw()),
-            };
-            term_data_w.push(tag);
-            term_data_w.push(payload);
-        }
-        term_rows_w.push(start);
-        term_rows_w.push(term_data_w.len() as u32);
+    if cons.iter().any(|(_, sig)| sig.arity() > MAX_ARITY) {
+        return Err(SnapError::Unsupported("constructor arity exceeds 32"));
     }
+    let term_words: usize = terms.ids().map(|id| 1 + 2 * terms.data(id).args().len()).sum();
+    let name_bytes: usize = cons.iter().map(|(_, sig)| sig.name().len()).sum();
 
-    let mut con_rows_w: Vec<u32> = Vec::with_capacity(cons.len() * 4);
-    let mut strs: Vec<u8> = Vec::new();
-    for (_, sig) in cons.iter() {
-        if sig.arity() > MAX_ARITY {
-            return Err(SnapError::Unsupported("constructor arity exceeds 32"));
-        }
-        let name_start = strs.len() as u32;
-        strs.extend_from_slice(sig.name().as_bytes());
-        let mut variance_bits = 0u32;
-        for (i, v) in sig.variances().iter().enumerate() {
-            if let bane_core::cons::Variance::Contravariant = v {
-                variance_bits |= 1 << i;
-            }
-        }
-        con_rows_w.push(name_start);
-        con_rows_w.push(strs.len() as u32);
-        con_rows_w.push(sig.arity() as u32);
-        con_rows_w.push(variance_bits);
-    }
-
-    // Section payloads as little-endian byte vectors, in SECTIONS order.
-    let payloads: [Vec<u8>; SECTION_COUNT] = [
-        words_to_bytes(&rep_w),
-        words_to_bytes(&var_rows_w),
-        words_to_bytes(&cols_w),
-        words_to_bytes(&src_rows_w),
-        words_to_bytes(&srcs_w),
-        words_to_bytes(&spans_w),
-        words_to_bytes(&arena_w),
-        words_to_bytes(&term_rows_w),
-        words_to_bytes(&term_data_w),
-        words_to_bytes(&con_rows_w),
-        strs,
+    // Section byte lengths in SECTIONS order, then the aligned layout.
+    let lens: [usize; SECTION_COUNT] = [
+        4 * var_count,
+        8 * var_count,
+        4 * cols.len(),
+        8 * var_count,
+        4 * srcs.len(),
+        8 * var_count,
+        4 * arena.len(),
+        8 * terms.len(),
+        4 * term_words,
+        16 * cons.len(),
+        name_bytes,
     ];
-
-    // Lay out the file: header, section table, aligned payloads.
-    let mut offsets = [0u64; SECTION_COUNT];
-    let mut cursor = PAYLOAD_START;
-    for (i, p) in payloads.iter().enumerate() {
-        offsets[i] = cursor as u64;
-        cursor = format::align_up(cursor + p.len());
+    let mut offsets = [0usize; SECTION_COUNT];
+    let mut file_len = PAYLOAD_START;
+    for (off, len) in offsets.iter_mut().zip(lens) {
+        *off = file_len;
+        file_len = format::align_up(file_len + len);
     }
-    let file_len = cursor;
+    let sect = |id: SectionId| offsets[id as usize]..offsets[id as usize] + lens[id as usize];
 
-    let mut out = Vec::with_capacity(file_len);
-    out.extend_from_slice(&MAGIC);
-    push_u32(&mut out, FORMAT_VERSION);
-    push_u32(&mut out, ENDIAN_MARKER);
-    push_u32(&mut out, HEADER_BYTES as u32);
-    push_u32(&mut out, SECTION_COUNT as u32);
-    push_u32(&mut out, match form {
+    // Zero-filled, so padding, reserved fields and the checksum slot need
+    // no writes of their own.
+    let mut out = vec![0u8; file_len];
+    out[..8].copy_from_slice(&MAGIC);
+    let form_word = match form {
         Form::Standard => 0,
         Form::Inductive => 1,
+    };
+    // The eight header words at offsets 8..40 (spec §3).
+    put_words(
+        &mut out[format::VERSION_OFFSET..40],
+        [
+            FORMAT_VERSION,
+            ENDIAN_MARKER,
+            HEADER_BYTES as u32,
+            SECTION_COUNT as u32,
+            form_word,
+            var_count as u32,
+            terms.len() as u32,
+            cons.len() as u32,
+        ],
+    );
+    for (i, id) in SECTIONS.into_iter().enumerate() {
+        let entry = &mut out[section_table_offset(id)..][..format::SECTION_ENTRY_BYTES];
+        entry[..4].copy_from_slice(&(id as u32).to_le_bytes());
+        entry[8..16].copy_from_slice(&(offsets[i] as u64).to_le_bytes());
+        entry[16..].copy_from_slice(&(lens[i] as u64).to_le_bytes());
+    }
+
+    put_words(&mut out[sect(SectionId::Rep)], Var::unwrap_slice(rep).iter().copied());
+    put_pairs(&mut out[sect(SectionId::VarRows)], var_rows);
+    put_words(&mut out[sect(SectionId::Cols)], Var::unwrap_slice(cols).iter().copied());
+    put_pairs(&mut out[sect(SectionId::SrcRows)], src_rows);
+    put_words(&mut out[sect(SectionId::Srcs)], TermId::unwrap_slice(srcs).iter().copied());
+    put_pairs(&mut out[sect(SectionId::LsSpans)], spans);
+    put_words(&mut out[sect(SectionId::LsArena)], TermId::unwrap_slice(arena).iter().copied());
+
+    let mut term_end = 0u32;
+    let term_rows = terms.ids().flat_map(|id| {
+        let start = term_end;
+        term_end += 1 + 2 * terms.data(id).args().len() as u32;
+        [start, term_end]
     });
-    push_u32(&mut out, var_count as u32);
-    push_u32(&mut out, terms.len() as u32);
-    push_u32(&mut out, cons.len() as u32);
-    push_u32(&mut out, 0); // reserved
-    push_u32(&mut out, 0); // reserved
-    debug_assert_eq!(out.len(), CHECKSUM_OFFSET);
-    push_u64(&mut out, 0); // checksum, patched below
-    push_u64(&mut out, 0); // reserved
-    debug_assert_eq!(out.len(), HEADER_BYTES);
+    put_words(&mut out[sect(SectionId::TermRows)], term_rows);
+    let term_data = terms.ids().flat_map(|id| {
+        let data = terms.data(id);
+        let args = data.args().iter().flat_map(|&arg| match arg {
+            SetExpr::Zero => [expr_tag::ZERO, 0],
+            SetExpr::One => [expr_tag::ONE, 0],
+            SetExpr::Var(v) => [expr_tag::VAR, v.raw()],
+            SetExpr::Term(t) => [expr_tag::TERM, t.raw()],
+        });
+        std::iter::once(data.con().raw()).chain(args)
+    });
+    put_words(&mut out[sect(SectionId::TermData)], term_data);
 
-    for (i, &id) in SECTIONS.iter().enumerate() {
-        push_u32(&mut out, id as u32);
-        push_u32(&mut out, 0); // reserved
-        push_u64(&mut out, offsets[i]);
-        push_u64(&mut out, payloads[i].len() as u64);
+    let mut name_end = 0u32;
+    let con_rows = cons.iter().flat_map(|(_, sig)| {
+        let start = name_end;
+        name_end += sig.name().len() as u32;
+        let variance_bits = sig
+            .variances()
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| matches!(v, Variance::Contravariant))
+            .fold(0u32, |bits, (i, _)| bits | 1 << i);
+        [start, name_end, sig.arity() as u32, variance_bits]
+    });
+    put_words(&mut out[sect(SectionId::ConRows)], con_rows);
+    let names = cons.iter().flat_map(|(_, sig)| sig.name().bytes());
+    for (slot, b) in out[sect(SectionId::Strs)].iter_mut().zip(names) {
+        *slot = b;
     }
-    debug_assert_eq!(out.len(), PAYLOAD_START);
 
-    for (i, p) in payloads.iter().enumerate() {
-        debug_assert_eq!(out.len(), offsets[i] as usize);
-        out.extend_from_slice(p);
-        out.resize(format::align_up(out.len()), 0);
-    }
-    debug_assert_eq!(out.len(), file_len);
-
-    let checksum = format::fnv1a64(&out[HEADER_BYTES..]);
+    let checksum = format::checksum(&out[HEADER_BYTES..]);
     out[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].copy_from_slice(&checksum.to_le_bytes());
     Ok(out)
 }
@@ -198,29 +185,26 @@ pub fn write_solver(
     Ok(bytes.len() as u64)
 }
 
-fn flatten_pairs(pairs: &[(u32, u32)]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(pairs.len() * 2);
-    for &(s, e) in pairs {
-        out.push(s);
-        out.push(e);
+/// Writes `words` little-endian into `dst`, which must hold exactly
+/// that many words.
+fn put_words(dst: &mut [u8], words: impl IntoIterator<Item = u32>) {
+    let (mut slots, mut words) = (dst.chunks_exact_mut(4), words.into_iter());
+    for (slot, w) in (&mut slots).zip(&mut words) {
+        slot.copy_from_slice(&w.to_le_bytes());
     }
-    out
+    debug_assert!(
+        slots.next().is_none() && words.next().is_none(),
+        "word count disagrees with the section length"
+    );
 }
 
-fn words_to_bytes(words: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(words.len() * 4);
-    for w in words {
-        out.extend_from_slice(&w.to_le_bytes());
+/// Writes row pairs into `dst` as consecutive little-endian words.
+fn put_pairs(dst: &mut [u8], pairs: &[(u32, u32)]) {
+    debug_assert_eq!(dst.len(), 8 * pairs.len());
+    for (slot, &(s, e)) in dst.chunks_exact_mut(8).zip(pairs) {
+        slot[..4].copy_from_slice(&s.to_le_bytes());
+        slot[4..].copy_from_slice(&e.to_le_bytes());
     }
-    out
-}
-
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Identifies the section table entry for `id` in an encoded image —

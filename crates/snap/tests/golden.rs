@@ -9,7 +9,7 @@
 
 use bane_core::cons::Variance;
 use bane_core::prelude::*;
-use bane_snap::{encode_solver, format, QueryIndex};
+use bane_snap::{encode_solver, format, QueryIndex, SnapError};
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/tiny.snap");
 const SPEC: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/SNAPSHOT_FORMAT.md");
@@ -115,4 +115,31 @@ fn fixture_header_geometry_is_as_documented() {
         format::SECTION_COUNT
     );
     assert_eq!(golden.len() % format::SECTION_ALIGN, 0, "file padded to 8 bytes");
+}
+
+/// The checksum covers `[64, EOF)` word by word with a bijective step, so
+/// every single-bit flip there must be caught — and caught by the checksum
+/// (§5 step 6), which runs before any check that reads those bytes.
+#[test]
+fn every_single_bit_flip_past_the_header_is_rejected() {
+    let golden = std::fs::read(FIXTURE).unwrap();
+    let mut bytes = golden.clone();
+    for i in format::HEADER_BYTES..golden.len() {
+        for bit in 0..8 {
+            bytes[i] ^= 1 << bit;
+            assert!(
+                matches!(QueryIndex::from_bytes(&bytes), Err(SnapError::ChecksumMismatch)),
+                "flip of bit {bit} in byte {i} was not rejected by the checksum"
+            );
+            bytes[i] = golden[i];
+        }
+    }
+}
+
+/// A version-1 image (FNV-1a checksum) is refused by version, not read.
+#[test]
+fn version_one_image_is_rejected_by_version() {
+    let mut bytes = std::fs::read(FIXTURE).unwrap();
+    bytes[format::VERSION_OFFSET..format::VERSION_OFFSET + 4].copy_from_slice(&1u32.to_le_bytes());
+    assert!(matches!(QueryIndex::from_bytes(&bytes), Err(SnapError::BadVersion { found: 1 })));
 }

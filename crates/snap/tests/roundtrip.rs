@@ -2,10 +2,14 @@
 //! solution-set backend, both graph forms, and both load paths — plus
 //! strict rejection of corrupted and truncated files.
 
+use bane_core::least::CsrSnapshot;
 use bane_core::prelude::*;
 use bane_points_to::andersen;
-use bane_snap::{encode_solver, format, write_solver, LoadMode, QueryIndex, QueryScratch};
+use bane_snap::{
+    encode_parts, encode_solver, format, write_solver, LoadMode, QueryIndex, QueryScratch,
+};
 use bane_synth::gen::{self, GenConfig};
+use bane_util::idx::Idx;
 use proptest::prelude::*;
 
 const BACKENDS: [SolSetKind; 3] = [SolSetKind::SortedSpan, SolSetKind::Bitmap, SolSetKind::Hybrid];
@@ -64,6 +68,76 @@ proptest! {
                 images.windows(2).all(|w| w[0] == w[1]),
                 "snapshot bytes differ across solution-set backends"
             );
+        }
+    }
+}
+
+/// Encodes `solver` through `encode_parts` with a CSR frozen from scratch,
+/// independent of the one the solver's least-solution pass keeps.
+fn encode_with_fresh_csr(solver: &mut Solver) -> Vec<u8> {
+    let ls = solver.least_solution();
+    let parts = solver.least_parts();
+    let (mut rep, mut layout) = (Vec::new(), Vec::new());
+    parts.rep_map_into(&mut rep);
+    parts.layout_order_into(&rep, &mut layout);
+    let mut csr = CsrSnapshot::new();
+    csr.build(&parts, &layout);
+    encode_parts(parts.form, &csr, &ls, solver.terms(), solver.cons()).unwrap()
+}
+
+/// `encode_solver` serializes the CSR its own least-solution pass froze.
+/// That must equal a freshly built CSR for both forms and every backend —
+/// also after the system grew and was solved again, so a CSR left over
+/// from the first encode cannot leak into the second.
+#[test]
+fn encode_solver_matches_a_freshly_built_csr() {
+    for base in [SolverConfig::if_online(), SolverConfig::sf_online()] {
+        for kind in BACKENDS {
+            let mut solver = solved_solver(5, base.with_solset(kind));
+            let first = encode_solver(&mut solver).unwrap();
+            assert_eq!(first, encode_with_fresh_csr(&mut solver), "{base:?} {kind:?}");
+
+            // New sources and edges among existing variables, plus a fresh
+            // variable so the variable count moves too.
+            let n = solver.least_parts().graph.len();
+            let c = solver.register_nullary("late");
+            let t = solver.term(c, vec![]);
+            let x = solver.fresh_var();
+            solver.add(t, x);
+            solver.add(x, Var::new(0));
+            solver.add(Var::new(n / 2), Var::new(n - 1));
+            solver.add(Var::new(n - 1), Var::new(1));
+            solver.solve();
+            let second = encode_solver(&mut solver).unwrap();
+            assert_ne!(first, second);
+            assert_eq!(second, encode_with_fresh_csr(&mut solver), "{base:?} {kind:?} regrown");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The checked queries answer exactly like the panicking ones inside
+    /// the snapshotted run and refuse every id past it.
+    #[test]
+    fn try_queries_refuse_out_of_range_ids(
+        seed in 0u64..2000,
+        raw in prop::collection::vec(0usize..1 << 20, 16..48),
+    ) {
+        let mut solver = solved_solver(seed, SolverConfig::if_online());
+        let index = QueryIndex::from_bytes(&encode_solver(&mut solver).unwrap()).unwrap();
+        let n = index.var_count();
+        // About half the ids in range, half past it, plus the largest id.
+        let mut ids: Vec<Var> = raw.iter().map(|&r| Var::new(r % (2 * n))).collect();
+        ids.push(Var::new(u32::MAX as usize));
+        for &a in &ids {
+            let in_range = a.index() < n;
+            prop_assert_eq!(index.try_points_to(a), in_range.then(|| index.points_to(a)));
+            for &b in &ids {
+                let both = in_range && b.index() < n;
+                prop_assert_eq!(index.try_alias(a, b), both.then(|| index.alias(a, b)));
+            }
         }
     }
 }
@@ -134,9 +208,8 @@ fn valid_image() -> Vec<u8> {
 /// reaches the *structural* validator rather than stopping at the
 /// checksum line.
 fn reseal(bytes: &mut [u8]) {
-    let sum = format::fnv1a64(&bytes[format::HEADER_BYTES..]);
-    bytes[format::CHECKSUM_OFFSET..format::CHECKSUM_OFFSET + 8]
-        .copy_from_slice(&sum.to_le_bytes());
+    let sum = format::checksum(&bytes[format::HEADER_BYTES..]);
+    bytes[format::CHECKSUM_OFFSET..format::CHECKSUM_OFFSET + 8].copy_from_slice(&sum.to_le_bytes());
 }
 
 #[test]

@@ -84,11 +84,24 @@ pub fn u64s_as_bytes(words: &[u64]) -> &[u8] {
     unsafe { std::slice::from_raw_parts(words.as_ptr().cast::<u8>(), words.len() * 8) }
 }
 
+/// Views `u64` words as their underlying bytes in host order, mutably and
+/// zero-copy — the single-copy way to fill an 8-byte-aligned buffer from a
+/// byte slice.
+///
+/// Total: every byte pattern written through the view is a valid `u64`.
+#[inline]
+pub fn u64s_as_bytes_mut(words: &mut [u64]) -> &mut [u8] {
+    // SAFETY: u64 has no padding, byte alignment (1) is always satisfied,
+    // every bit pattern is a valid u64, and the exclusive borrow of `words`
+    // is carried over to the returned view.
+    unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr().cast::<u8>(), words.len() * 8) }
+}
+
 /// Whether the host stores integers little-endian.
 ///
 /// The snapshot format is defined as little-endian on disk; on a big-endian
 /// host the zero-copy read path is unsound and the loader must refuse (or
-/// byte-swap, which v1 does not implement).
+/// byte-swap, which the format does not implement).
 #[inline]
 pub const fn host_is_little_endian() -> bool {
     cfg!(target_endian = "little")
@@ -112,6 +125,13 @@ mod tests {
         let bytes = u64s_as_bytes(&words);
         assert_eq!(bytes.len(), 24);
         assert_eq!(as_u64s(bytes), Some(&words[..]));
+    }
+
+    #[test]
+    fn u64_bytes_mut_writes_through() {
+        let mut words = vec![0u64; 2];
+        u64s_as_bytes_mut(&mut words)[..9].copy_from_slice(&[1, 0, 0, 0, 0, 0, 0, 0, 2]);
+        assert_eq!(words, [1, 2].map(|b| u64::from_ne_bytes([b, 0, 0, 0, 0, 0, 0, 0])));
     }
 
     #[test]
