@@ -47,7 +47,7 @@ use crate::expr::Var;
 use crate::forward::Forwarding;
 use crate::graph::Graph;
 use crate::order::VarOrder;
-use bane_util::{EpochSetImpl, EpochStamp, FxHashMap};
+use bane_util::{EpochSetImpl, EpochStamp};
 
 /// Which adjacency lists the chain search follows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -229,19 +229,16 @@ impl<E: EpochStamp> ChainSearchImpl<E> {
     }
 }
 
-/// A snapshot of the graph mutations that can change a chain search's
-/// outcome or cost, used to validate memoized negative verdicts (DESIGN.md
-/// §4d).
+/// A snapshot of the graph mutations that can change solved state: new
+/// variable-variable edges of either polarity and collapses.
 ///
-/// The counters are split by polarity because a chain search only ever scans
-/// one side of the adjacency: a [`ChainDir::Pred`] search reads predecessor
-/// lists exclusively, so successor inserts provably cannot change which
-/// entries it dequeues — and vice versa. Collapses invalidate everything
-/// (forwarding changes which nodes entries canonicalize to). Eager
-/// compaction is deliberately *not* a revision: it rewrites stale entries in
-/// place without changing the traversal multiset (see
-/// [`graph`](crate::graph) module docs), so a memoized verdict — including
-/// its exact `nodes_visited`/`edges_scanned` deltas — stays valid across it.
+/// `bane-serve` records one per published solution and compares it with
+/// [`validates`](GraphRevision::validates) (nothing changed, reuse the
+/// retained least solution) and [`extends`](GraphRevision::extends) (only
+/// additions, so difference propagation may reuse it). Redundant insert
+/// attempts, source/sink inserts and eager compaction bump no counter: none
+/// of them changes the canonical edge set (see the [`graph`](crate::graph)
+/// module docs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GraphRevision {
     pred: u64,
@@ -259,36 +256,10 @@ impl GraphRevision {
         }
     }
 
-    /// Whether a verdict for a `dir`-direction search recorded at `self` is
-    /// still exact at `now`.
-    fn still_valid(self, now: GraphRevision, dir: ChainDir) -> bool {
-        self.collapses == now.collapses
-            && match dir {
-                ChainDir::Pred => self.pred == now.pred,
-                ChainDir::Succ => self.succ == now.succ,
-            }
-    }
-
-    /// The predecessor-polarity edge revision counter.
-    pub fn pred_revision(&self) -> u64 {
-        self.pred
-    }
-
-    /// The successor-polarity edge revision counter.
-    pub fn succ_revision(&self) -> u64 {
-        self.succ
-    }
-
-    /// Number of collapsed (forwarded) variables at snapshot time.
-    pub fn collapses(&self) -> usize {
-        self.collapses
-    }
-
     /// Whether solved state recorded at `self` is still **exactly** valid at
-    /// `now`: no new edge of either polarity, no collapse. This is the
-    /// cross-`Delta` generalization of the per-verdict check above — a
-    /// `Session` whose revision validates can answer queries from its
-    /// retained least solution without any recomputation at all.
+    /// `now`: no new edge of either polarity, no collapse. A `Session` whose
+    /// revision validates can answer queries from its retained least
+    /// solution without any recomputation at all.
     pub fn validates(self, now: GraphRevision) -> bool {
         self == now
     }
@@ -308,150 +279,16 @@ impl GraphRevision {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct MemoEntry {
-    rev: GraphRevision,
-    /// The search's `nodes_visited` delta (also its `max_visits` candidate).
-    nodes: u64,
-    /// The search's `edges_scanned` delta.
-    edges: u64,
-}
-
-/// Negative-result memoization for chain searches (DESIGN.md §4d).
-///
-/// Caches "no cycle found from `(start, target, dir, step)`" verdicts keyed
-/// by [`GraphRevision`]. A hit answers without touching the graph while
-/// replaying the recorded per-search [`SearchStats`] deltas, so every
-/// paper-observable counter is byte-identical to a live re-search — which is
-/// sound because a matching revision guarantees the re-search would dequeue
-/// the *same entry sequence* (same lists, same lengths, same canonical
-/// targets) and therefore produce the same verdict and the same counts.
-///
-/// Found cycles are never cached: the caller needs the path, and the
-/// subsequent collapse invalidates the revision immediately anyway.
-///
-/// Invalidation is exact in the sense the paper's Work metric requires:
-/// collapses and polarity-matching *new* edge inserts invalidate; redundant
-/// insert attempts, source/sink inserts, and eager compaction do not.
-///
-/// In the sequential solver same-key repeats are rare (the redundancy check
-/// fires first, and every non-redundant search is immediately followed by an
-/// insert or a collapse), so the memo is near-transparent there; the real
-/// hits come from `bane-par`'s scan phase, where duplicate frontier items in
-/// one round repeat identical searches against the unchanged round-start
-/// graph.
-///
-/// Storage is a reusable hash map that only grows while *new* keys miss;
-/// steady-state re-feeds of redundant constraints never reach the memo at
-/// all, preserving the zero-allocation pin.
-#[derive(Clone, Debug)]
-pub struct SearchMemo {
-    map: FxHashMap<(Var, Var, ChainDir, StepOrder), MemoEntry>,
-    hits: u64,
-    misses: u64,
-    enabled: bool,
-}
-
-impl Default for SearchMemo {
-    fn default() -> Self {
-        SearchMemo { map: FxHashMap::default(), hits: 0, misses: 0, enabled: true }
-    }
-}
-
-impl SearchMemo {
-    /// Creates an enabled, empty memo.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Turns memoization off (every call falls through to the live search,
-    /// counting neither hits nor misses) or back on. Used by the census
-    /// equivalence tests and as an operational kill switch.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    /// Number of searches answered from a still-valid negative verdict.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Number of searches that ran live (no entry, or a stale one).
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Drops every cached verdict, keeping allocated capacity.
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
-
-    /// Runs `search` through the memo: a still-valid negative verdict for
-    /// `(start, target, dir, step)` answers `false` without traversal,
-    /// replaying the recorded stats deltas; otherwise the live
-    /// [`ChainSearchImpl::search`] runs (same contract, including `path`
-    /// handling) and a negative outcome is recorded at the current
-    /// [`GraphRevision`].
-    #[allow(clippy::too_many_arguments)] // mirrors the search it wraps
-    pub fn search<E: EpochStamp>(
-        &mut self,
-        search: &mut ChainSearchImpl<E>,
-        graph: &Graph,
-        fwd: &Forwarding,
-        order: &VarOrder,
-        start: Var,
-        target: Var,
-        dir: ChainDir,
-        step: StepOrder,
-        stats: &mut SearchStats,
-        path: &mut Vec<Var>,
-    ) -> bool {
-        if !self.enabled {
-            return search.search(graph, fwd, order, start, target, dir, step, stats, path);
-        }
-        let rev = GraphRevision::of(graph, fwd);
-        let key = (start, target, dir, step);
-        if let Some(entry) = self.map.get(&key) {
-            if entry.rev.still_valid(rev, dir) {
-                self.hits += 1;
-                path.clear();
-                stats.searches += 1;
-                stats.nodes_visited += entry.nodes;
-                stats.edges_scanned += entry.edges;
-                stats.max_visits = stats.max_visits.max(entry.nodes);
-                return false;
-            }
-        }
-        self.misses += 1;
-        let nodes_before = stats.nodes_visited;
-        let edges_before = stats.edges_scanned;
-        let found = search.search(graph, fwd, order, start, target, dir, step, stats, path);
-        if !found {
-            self.map.insert(
-                key,
-                MemoEntry {
-                    rev,
-                    nodes: stats.nodes_visited - nodes_before,
-                    edges: stats.edges_scanned - edges_before,
-                },
-            );
-        }
-        found
-    }
-}
-
 /// Reusable scratch for one *offline* cycle-elimination sweep: Tarjan over
 /// the current canonical variable-variable edges, exposing the non-trivial
 /// SCCs for the engine to collapse.
 ///
 /// This is the shared half of [`CycleElim::Periodic`](crate::solver::CycleElim)
-/// — the part that only reads the graph. Both engines drive it the same way
-/// (compute, then collapse each component through their own collapse
-/// routine), which is what keeps the sequential solver's periodic passes and
-/// `bane-par`'s batch-boundary sweeps *observably identical*: the component
-/// order is Tarjan emission order (reverse topological) and the member order
-/// within a component is Tarjan stack-pop order, both fully determined by
-/// the canonical edge list.
+/// — the part that only reads the graph. The solver computes a sweep, then
+/// collapses each component through its own collapse routine. The result is
+/// deterministic: the component order is Tarjan emission order (reverse
+/// topological) and the member order within a component is Tarjan stack-pop
+/// order, both fully determined by the canonical edge list.
 ///
 /// The two-phase shape (compute into owned storage, collapse afterwards) is
 /// deliberate: collapsing mutates the graph, so the sweep result must not
@@ -753,125 +590,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// A memo hit replays the exact stats of the live search it short-cuts,
-    /// and redundant insert attempts do not invalidate the verdict.
-    #[test]
-    fn memo_hit_replays_exact_stats_and_ignores_redundant_inserts() {
-        let (mut g, f, o, mut s) = setup(4);
-        g.insert_pred_var(v(2), v(1));
-        g.insert_pred_var(v(1), v(0));
-        let mut memo = SearchMemo::new();
-        let mut path = Vec::new();
-
-        let mut st_live = SearchStats::default();
-        let found = memo.search(
-            &mut s, &g, &f, &o, v(2), v(3), ChainDir::Pred, StepOrder::Decreasing,
-            &mut st_live, &mut path,
-        );
-        assert!(!found);
-        assert_eq!((memo.hits(), memo.misses()), (0, 1));
-
-        // Redundant attempts bump no revision: the verdict must still hit.
-        assert_eq!(g.insert_pred_var(v(2), v(1)), crate::graph::Insert::Redundant);
-        let mut st_hit = SearchStats::default();
-        path.extend([v(0); 3]); // stale content must be cleared on a hit too
-        let found = memo.search(
-            &mut s, &g, &f, &o, v(2), v(3), ChainDir::Pred, StepOrder::Decreasing,
-            &mut st_hit, &mut path,
-        );
-        assert!(!found);
-        assert!(path.is_empty(), "hit clears the path buffer like a live miss");
-        assert_eq!((memo.hits(), memo.misses()), (1, 1));
-        assert_eq!(st_hit, st_live, "replayed deltas are byte-identical");
-    }
-
-    /// Polarity split: a new *successor* insert leaves *predecessor*-chain
-    /// verdicts valid (a pred search never scans succ lists), while a new
-    /// pred insert invalidates them.
-    #[test]
-    fn memo_invalidation_is_polarity_split() {
-        let (mut g, f, o, mut s) = setup(4);
-        g.insert_pred_var(v(2), v(1));
-        let mut memo = SearchMemo::new();
-        let mut path = Vec::new();
-        let mut st = SearchStats::default();
-        assert!(!memo.search(
-            &mut s, &g, &f, &o, v(2), v(3), ChainDir::Pred, StepOrder::Decreasing,
-            &mut st, &mut path,
-        ));
-
-        // Cross-polarity insert: still a hit.
-        assert_eq!(g.insert_succ_var(v(0), v(3)), crate::graph::Insert::New);
-        assert!(!memo.search(
-            &mut s, &g, &f, &o, v(2), v(3), ChainDir::Pred, StepOrder::Decreasing,
-            &mut st, &mut path,
-        ));
-        assert_eq!((memo.hits(), memo.misses()), (1, 1));
-
-        // Same-polarity insert: the old verdict is stale — and in fact the
-        // answer changed, which is exactly why the revision must catch it.
-        assert_eq!(g.insert_pred_var(v(1), v(3)), crate::graph::Insert::New);
-        let found = memo.search(
-            &mut s, &g, &f, &o, v(2), v(3), ChainDir::Pred, StepOrder::Unrestricted,
-            &mut st, &mut path,
-        );
-        assert!(found, "unrestricted pred walk 2⋯→1⋯→3 now exists");
-        let found = memo.search(
-            &mut s, &g, &f, &o, v(2), v(3), ChainDir::Pred, StepOrder::Decreasing,
-            &mut st, &mut path,
-        );
-        assert!(!found, "decreasing order still blocks the step up to 3");
-        assert_eq!(memo.hits(), 1, "no further hits after the pred insert");
-        assert_eq!(memo.misses(), 3);
-    }
-
-    /// Collapses invalidate every cached verdict, even when no new edge was
-    /// inserted around them.
-    #[test]
-    fn memo_invalidated_by_collapse() {
-        let (mut g, mut f, o, mut s) = setup(4);
-        g.insert_succ_var(v(2), v(1));
-        let mut memo = SearchMemo::new();
-        let mut path = Vec::new();
-        let mut st = SearchStats::default();
-        assert!(!memo.search(
-            &mut s, &g, &f, &o, v(2), v(3), ChainDir::Succ, StepOrder::Decreasing,
-            &mut st, &mut path,
-        ));
-        f.union_into(v(1), v(0)); // collapse: entries now canonicalize differently
-        assert!(!memo.search(
-            &mut s, &g, &f, &o, v(2), v(3), ChainDir::Succ, StepOrder::Decreasing,
-            &mut st, &mut path,
-        ));
-        assert_eq!((memo.hits(), memo.misses()), (0, 2), "collapse forced a live re-search");
-    }
-
-    /// Found cycles are never cached, and a disabled memo is fully
-    /// transparent (no counting, no storage).
-    #[test]
-    fn memo_skips_found_cycles_and_respects_kill_switch() {
-        let (mut g, f, o, mut s) = setup(3);
-        g.insert_pred_var(v(2), v(1));
-        g.insert_pred_var(v(1), v(0));
-        let mut memo = SearchMemo::new();
-        let mut path = Vec::new();
-        let mut st = SearchStats::default();
-        for _ in 0..2 {
-            assert!(memo.search(
-                &mut s, &g, &f, &o, v(2), v(0), ChainDir::Pred, StepOrder::Decreasing,
-                &mut st, &mut path,
-            ));
-            assert_eq!(path, vec![v(2), v(1), v(0)]);
-        }
-        assert_eq!((memo.hits(), memo.misses()), (0, 2), "positive results always search live");
-
-        memo.set_enabled(false);
-        assert!(!memo.search(
-            &mut s, &g, &f, &o, v(2), v(3), ChainDir::Pred, StepOrder::Decreasing,
-            &mut st, &mut path,
-        ));
-        assert_eq!((memo.hits(), memo.misses()), (0, 2), "disabled memo counts nothing");
     }
 }

@@ -332,8 +332,7 @@ pub struct Graph {
     /// Monotone count of structural changes to predecessor variable lists:
     /// `Insert::New` outcomes of [`insert_pred_var`](Graph::insert_pred_var)
     /// plus [`take_edges`](Graph::take_edges) calls. Redundant inserts bump
-    /// nothing. Feeds the negative-search memo's revision validation (see
-    /// [`cycle::GraphRevision`](crate::cycle::GraphRevision)).
+    /// nothing. Feeds [`cycle::GraphRevision`](crate::cycle::GraphRevision).
     pred_var_revision: u64,
     /// Monotone count of structural changes to successor variable lists
     /// (`Insert::New` successor inserts plus `take_edges` calls).
@@ -456,10 +455,9 @@ impl Graph {
     /// collapse epoch.
     pub fn take_edges(&mut self, v: Var) -> TakenEdges {
         // Emptying the lists is a structural change on both sides. In the
-        // engines this only ever happens during a collapse (which bumps
-        // `Forwarding::collapsed_count` and therefore invalidates memoized
-        // verdicts anyway), but the revision counters stay honest for any
-        // caller.
+        // solver this only ever happens during a collapse (which bumps
+        // `Forwarding::collapsed_count` anyway), but the revision counters
+        // stay honest for any caller.
         self.pred_var_revision += 1;
         self.succ_var_revision += 1;
         self.nodes[v].take()
@@ -490,7 +488,7 @@ impl Graph {
     }
 
     /// Source-edge analogue of [`retain_pred_vars`](Graph::retain_pred_vars)
-    /// (source/sink lists feed no search memo, so no revision is tracked).
+    /// (source/sink lists feed no chain search, so no revision is tracked).
     pub fn retain_pred_srcs(&mut self, v: Var, keep: impl FnMut(usize, TermId) -> bool) -> usize {
         self.nodes[v].pred_srcs.retain_positions(keep)
     }

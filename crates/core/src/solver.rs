@@ -37,7 +37,7 @@
 
 use bane_util::idx::Idx;
 use crate::cons::{Con, ConRegistry, Variance};
-use crate::cycle::{ChainDir, ChainSearch, CycleSweep, SearchMemo, SfSearchPolicy, StepOrder};
+use crate::cycle::{ChainDir, ChainSearch, CycleSweep, SfSearchPolicy, StepOrder};
 use crate::error::Inconsistency;
 use crate::expr::{SetExpr, TermArena, TermData, TermId, Var};
 use crate::forward::Forwarding;
@@ -203,46 +203,6 @@ impl NodeCounts {
     }
 }
 
-/// The owned state a constraint-resolution engine runs on, decomposed from a
-/// [`Solver`] by [`Solver::into_engine_parts`].
-///
-/// Every field a worklist engine needs to resolve constraints — and nothing
-/// solver-strategy-specific (no chain-search scratch, no oracle logs). The
-/// fields are public by design: an external engine (such as `bane-par`'s
-/// frontier engine) takes full ownership and is responsible for upholding
-/// the representation invariants documented on each part (most importantly,
-/// inductive-form predecessor edges must keep decreasing the variable
-/// order).
-#[derive(Clone, Debug)]
-pub struct EngineParts {
-    /// The solver configuration (form, cycle elimination, order policy).
-    pub config: SolverConfig,
-    /// Registered constructors.
-    pub cons: ConRegistry,
-    /// Interned terms.
-    pub terms: TermArena,
-    /// The constraint graph.
-    pub graph: Graph,
-    /// Forwarding pointers for collapsed variables.
-    pub fwd: Forwarding,
-    /// The variable order.
-    pub order: VarOrder,
-    /// Constraints not yet resolved.
-    pub pending: VecDeque<(SetExpr, SetExpr)>,
-    /// Accumulated statistics (the paper's Work metric and friends).
-    pub stats: Stats,
-    /// Inconsistencies recorded so far.
-    pub errors: Vec<Inconsistency>,
-    /// The interned builtin `1` term.
-    pub one_term: TermId,
-    /// The interned builtin `0` term.
-    pub zero_term: TermId,
-    /// Distinct source terms inserted into the graph.
-    pub source_terms: FxHashSet<TermId>,
-    /// Distinct sink terms inserted into the graph.
-    pub sink_terms: FxHashSet<TermId>,
-}
-
 /// Per-node provenance mirrors, positionally parallel to the node's four
 /// adjacency lists (same push order, taken/retained in lockstep). Possible
 /// only because the provenance-tracking solver disables eager compaction:
@@ -302,7 +262,6 @@ pub struct Solver {
     fwd: Forwarding,
     order: VarOrder,
     search: ChainSearch,
-    memo: SearchMemo,
     pending: VecDeque<(SetExpr, SetExpr)>,
     /// Provenance tracking (the `fast_apply` side-table). `None` unless
     /// [`enable_provenance`](Solver::enable_provenance) was called before
@@ -365,7 +324,7 @@ impl Solver {
 
     /// Creates a solver from a recorded [`Problem`], adopting its
     /// constructors and terms and replaying its variable creations and
-    /// constraints (see [`Engine::from_problem`](crate::engine::Engine)).
+    /// constraints.
     pub fn from_problem(problem: Problem) -> Self {
         Self::adopt_problem(problem, None)
     }
@@ -415,7 +374,6 @@ impl Solver {
             fwd: Forwarding::new(),
             order: VarOrder::new(config.order),
             search: ChainSearch::new(1024),
-            memo: SearchMemo::new(),
             pending: VecDeque::new(),
             prov: None,
             path_buf: Vec::new(),
@@ -504,8 +462,6 @@ impl Solver {
         rec.set(bane_obs::Counter::CensusLiveVars, counts.live_vars as u64);
         let promotions = self.graph.promotions();
         rec.set(bane_obs::Counter::AdjPromotions, promotions.len() as u64);
-        rec.set(bane_obs::Counter::SearchMemoHit, self.memo.hits());
-        rec.set(bane_obs::Counter::SearchMemoMiss, self.memo.misses());
         rec.set(
             bane_obs::Counter::EpochResets,
             self.search.epoch_resets() + self.cycle_sweep.epoch_resets(),
@@ -520,21 +476,6 @@ impl Solver {
     /// The configuration this solver runs under.
     pub fn config(&self) -> &SolverConfig {
         &self.config
-    }
-
-    /// Enables or disables negative cycle-search memoization (on by
-    /// default). Memo hits replay the exact stats of the search they skip,
-    /// so every paper-observable counter is identical either way — pinned by
-    /// the census-equivalence test — making this purely an operational kill
-    /// switch (and the lever that test uses).
-    pub fn set_search_memo_enabled(&mut self, enabled: bool) {
-        self.memo.set_enabled(enabled);
-    }
-
-    /// Cumulative `(hits, misses)` of the negative-search memo (also
-    /// published as the `search.memo.hit` / `search.memo.miss` counters).
-    pub fn search_memo_counts(&self) -> (u64, u64) {
-        (self.memo.hits(), self.memo.misses())
     }
 
     // ------------------------------------------------------------------
@@ -1257,8 +1198,7 @@ impl Solver {
         let mut path = std::mem::take(&mut self.path_buf);
         #[cfg(feature = "obs")]
         self.obs_start(Phase::CycleDetect);
-        let found = self.memo.search(
-            &mut self.search,
+        let found = self.search.search(
             &self.graph,
             &self.fwd,
             &self.order,
@@ -1542,8 +1482,8 @@ impl Solver {
 
     /// Borrows exactly the parts the least-solution pass reads.
     ///
-    /// This is the public hook the parallel engine (`bane-par`) computes the
-    /// least solution through: the returned references are all `Sync`, so
+    /// This is the public hook `bane-par`'s `ParLeast` computes the least
+    /// solution through: the returned references are all `Sync`, so
     /// scoped worker threads can read the graph, forwarding pointers, and
     /// variable order concurrently while the solver stays put. Meaningful
     /// after [`solve`](Solver::solve) has converged.
@@ -1592,43 +1532,6 @@ impl Solver {
         &mut self.ls_kernel
     }
 
-    /// Decomposes the solver into its owned engine parts.
-    ///
-    /// This is the hand-off point to alternative execution engines (the
-    /// round-based frontier engine in `bane-par`): generate constraints
-    /// through the normal [`add`](Solver::add) API — or even partially
-    /// [`solve`](Solver::solve) — then move the graph, term arena, and
-    /// worklist into an engine with a different scheduling discipline.
-    /// The chain-search scratch, oracle logs, and observability recorder are
-    /// engine-local state and are dropped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the solver was built with an oracle partition
-    /// ([`Solver::with_oracle`]): oracle aliasing rewrites variable creation
-    /// itself and cannot be replayed by an external engine.
-    pub fn into_engine_parts(self) -> EngineParts {
-        assert!(
-            self.oracle.is_none(),
-            "into_engine_parts: oracle-partitioned solvers cannot be decomposed"
-        );
-        EngineParts {
-            config: self.config,
-            cons: self.cons,
-            terms: self.terms,
-            graph: self.graph,
-            fwd: self.fwd,
-            order: self.order,
-            pending: self.pending,
-            stats: self.stats,
-            errors: self.errors,
-            one_term: self.one_term,
-            zero_term: self.zero_term,
-            source_terms: self.source_terms,
-            sink_terms: self.sink_terms,
-        }
-    }
-
     /// Number of variable nodes ever created (including collapsed ones).
     pub fn graph_len(&self) -> usize {
         self.graph.len()
@@ -1670,9 +1573,8 @@ impl Solver {
     }
 }
 
-// The sequential solver keeps its inherent construction/run methods as the
-// primary surface (they predate the traits and are not duplicated anywhere);
-// the trait impls delegate so generic harness code works on any engine. This
+// The builder trait delegates to the inherent methods so generic generation
+// code can target a `Solver`, a `Problem` or a serving fleet alike. This
 // covers both plain and oracle-mode solvers — oracle aliasing lives inside
 // `fresh_var` and needs no separate impl.
 impl ConstraintBuilder for Solver {
@@ -1694,40 +1596,6 @@ impl ConstraintBuilder for Solver {
 
     fn add(&mut self, lhs: impl Into<SetExpr>, rhs: impl Into<SetExpr>) {
         Solver::add(self, lhs, rhs)
-    }
-}
-
-impl crate::engine::Engine for Solver {
-    fn from_problem(problem: Problem) -> Self {
-        Solver::from_problem(problem)
-    }
-
-    fn solve(&mut self) {
-        Solver::solve(self)
-    }
-
-    fn solve_limited(&mut self, max_work: u64) -> bool {
-        Solver::solve_limited(self, max_work)
-    }
-
-    fn stats(&self) -> &Stats {
-        Solver::stats(self)
-    }
-
-    fn inconsistencies(&self) -> &[Inconsistency] {
-        Solver::inconsistencies(self)
-    }
-
-    fn census(&self) -> GraphCensus {
-        Solver::census(self)
-    }
-
-    fn find(&mut self, v: Var) -> Var {
-        Solver::find(self, v)
-    }
-
-    fn least_solution(&mut self) -> crate::least::LeastSolution {
-        Solver::least_solution(self)
     }
 }
 
@@ -2209,7 +2077,7 @@ mod incremental_tests {
 }
 
 #[cfg(test)]
-mod memo_tests {
+mod provenance_tests {
     use super::*;
     use bane_util::SplitMix64;
 
@@ -2218,9 +2086,8 @@ mod memo_tests {
     /// Feeds an identical random constraint stream (dense enough to collapse
     /// cycles mid-solve, plus a source to make the least solution
     /// non-trivial) to one solver, in several incremental waves.
-    fn run_one(config: SolverConfig, seed: u64, memo: bool) -> (Solver, Vec<Var>) {
+    fn run_one(config: SolverConfig, seed: u64) -> (Solver, Vec<Var>) {
         let mut s = Solver::new(config);
-        s.set_search_memo_enabled(memo);
         let c = s.register_nullary("c");
         let src = s.term(c, vec![]);
         let vs: Vec<Var> = (0..N).map(|_| s.fresh_var()).collect();
@@ -2239,58 +2106,8 @@ mod memo_tests {
         (s, vs)
     }
 
-    /// The work-counter-identical census pin: memoization must not change a
-    /// single paper observable — [`Stats`] (including every search
-    /// counter), the graph census, and the least solution — even across
-    /// collapses mid-solve (which is precisely what the revision
-    /// invalidation has to get exactly right).
-    #[test]
-    fn memo_on_and_off_produce_identical_observables() {
-        for config in configs_under_test() {
-            for seed in [0xBEEF, 0xA11CE, 7] {
-                let (mut on, vs) = run_one(config, seed, true);
-                let (mut off, _) = run_one(config, seed, false);
-                assert_eq!(on.stats(), off.stats(), "{config:?} seed {seed:#x}");
-                assert_eq!(on.census(), off.census(), "{config:?} seed {seed:#x}");
-                let (hits, misses) = on.search_memo_counts();
-                assert_eq!(off.search_memo_counts(), (0, 0), "disabled memo counts nothing");
-                assert_eq!(
-                    hits + misses,
-                    on.stats().search.searches,
-                    "every search was routed through the memo, {config:?}"
-                );
-                let ls_on = on.least_solution();
-                let ls_off = off.least_solution();
-                for &v in &vs {
-                    let (a, b) = (on.find(v), off.find(v));
-                    assert_eq!(a, b, "{config:?} seed {seed:#x}");
-                    assert_eq!(ls_on.get(a), ls_off.get(b), "{config:?} seed {seed:#x}");
-                }
-            }
-        }
-    }
-
     fn configs_under_test() -> Vec<SolverConfig> {
         vec![SolverConfig::sf_online(), SolverConfig::if_online()]
-    }
-
-    /// In the sequential solver a same-key search can essentially never
-    /// repeat (the redundancy check fires first, and every non-redundant
-    /// search is immediately followed by an insert or a collapse — both
-    /// revision bumps). This test pins that structural property: across a
-    /// collapse-heavy run every memo probe is a miss, so the memo is pure
-    /// bookkeeping here and the hits the BENCH_5 table reports come from
-    /// `bane-par`'s frozen scan phase. If this ever starts failing with
-    /// hits > 0, the revision invalidation — not this test — is the thing
-    /// to re-audit (a sequential hit would mean a search repeated with *no*
-    /// intervening insert or collapse).
-    #[test]
-    fn sequential_memo_probes_all_miss_across_collapses() {
-        let (s, _) = run_one(SolverConfig::if_online(), 0xD1CE, true);
-        let (hits, misses) = s.search_memo_counts();
-        assert_eq!(hits, 0, "sequential same-key repeats are structurally impossible");
-        assert_eq!(misses, s.stats().search.searches);
-        assert!(s.stats().vars_eliminated > 0, "the run did collapse cycles mid-solve");
     }
 
     // -- constraint provenance (the fast_apply side-table) ---------------
@@ -2302,7 +2119,7 @@ mod memo_tests {
     fn provenance_tracking_is_observable_neutral() {
         for config in configs_under_test() {
             for seed in [0xBEEF, 7] {
-                let (mut plain, vs) = run_one(config, seed, true);
+                let (mut plain, vs) = run_one(config, seed);
                 let mut tracked = Solver::new(config);
                 tracked.enable_provenance();
                 // Replay run_one's generation against the tracked solver,

@@ -13,8 +13,6 @@
 //!   [cycle-elimination policy](SessionBuilder::cycle_elim);
 //! - the [revalidation worker count](SessionBuilder::threads) (never
 //!   changes an observable — only wall time);
-//! - the [commit-batch depth](SessionBuilder::batch_rounds) recorded on the
-//!   session for harnesses that drive a frontier-batched engine beside it;
 //! - the [observability gate](SessionBuilder::obs);
 //! - the [re-solve tier](SessionBuilder::apply_mode): [`ApplyMode::Exact`]
 //!   replays non-monotone deltas for byte-identical observables,
@@ -56,7 +54,6 @@ use crate::session::{ApplyMode, Session};
 pub struct SessionBuilder {
     config: SolverConfig,
     threads: usize,
-    batch_rounds: usize,
     obs: bool,
     mode: ApplyMode,
 }
@@ -69,12 +66,11 @@ impl Default for SessionBuilder {
 
 impl SessionBuilder {
     /// The default recipe: [`SolverConfig::if_online`], 1 revalidation
-    /// worker, batch depth 1, observability off.
+    /// worker, observability off, [`ApplyMode::Exact`].
     pub fn new() -> Self {
         SessionBuilder {
             config: SolverConfig::if_online(),
             threads: 1,
-            batch_rounds: 1,
             obs: false,
             mode: ApplyMode::Exact,
         }
@@ -102,13 +98,6 @@ impl SessionBuilder {
     /// least 1). Thread count never changes any observable.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the commit-batch depth recorded on the session (clamped to at
-    /// least 1). See [`Session::batch_rounds`].
-    pub fn batch_rounds(mut self, rounds: usize) -> Self {
-        self.batch_rounds = rounds.max(1);
         self
     }
 
@@ -148,7 +137,7 @@ impl SessionBuilder {
     /// becomes the session's, and its recorded constraints become one
     /// group, solved immediately. The *problem's* [`SolverConfig`] is
     /// authoritative (it already shaped the recording); the builder
-    /// contributes threads, batch depth, and the obs gate.
+    /// contributes threads, the apply mode and the obs gate.
     pub fn build_from_problem(&self, problem: Problem) -> Session {
         self.build_grouped(problem, 1)
     }
@@ -169,7 +158,6 @@ impl SessionBuilder {
     /// Applies the post-construction knobs shared by every build path.
     fn finish(&self, session: &mut Session) {
         session.set_threads(self.threads);
-        session.set_batch_rounds(self.batch_rounds);
         if self.obs {
             session.enable_obs();
         }
@@ -187,13 +175,11 @@ mod tests {
             .solset(SolSetKind::Bitmap)
             .cycle_elim(CycleElim::Off)
             .threads(8)
-            .batch_rounds(4)
             .obs(true);
         let s = b.build();
         assert_eq!(s.solset(), SolSetKind::Bitmap);
         assert_eq!(s.solver().config().cycle_elim, CycleElim::Off);
         assert_eq!(s.threads(), 8);
-        assert_eq!(s.batch_rounds(), 4);
         assert!(s.recorder().is_some());
         // The builder is a reusable recipe: a second build is independent.
         let s2 = b.build();
@@ -202,9 +188,8 @@ mod tests {
 
     #[test]
     fn clamps_zero_knobs() {
-        let s = SessionBuilder::new().threads(0).batch_rounds(0).build();
+        let s = SessionBuilder::new().threads(0).build();
         assert_eq!(s.threads(), 1);
-        assert_eq!(s.batch_rounds(), 1);
     }
 
     #[test]

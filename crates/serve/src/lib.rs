@@ -20,7 +20,7 @@
 //!   re-parse), added, removed, or rewritten by a [`Delta`] batch;
 //! - [`builder`]: the [`SessionBuilder`], the one construction path for
 //!   sessions — every knob (solution-set backend, cycle elimination,
-//!   worker threads, batch depth, observability gate) in one reusable
+//!   worker threads, apply mode, observability gate) in one reusable
 //!   recipe;
 //! - [`session`]: the long-lived [`Session`] — solved state plus
 //!   [`Session::apply`], with the monotone fast path vs canonical-replay

@@ -13,7 +13,9 @@
 //!   Mutating commands stage operations into a pending [`Delta`]; `commit`
 //!   applies the batch atomically and reports the [`ApplyReport`].
 //! - **Responses**: one frame per request, `ok …` or `err …`, rendered by
-//!   [`Response::render`].
+//!   [`Response::render`]. A `points-to` or `alias` query (routed or not)
+//!   naming a variable the server has not created answers
+//!   `err no such var v<i>` and changes nothing.
 //!
 //! # Command language
 //!
@@ -308,6 +310,17 @@ pub(crate) fn intersects(a: &[TermId], b: &[TermId]) -> bool {
     false
 }
 
+/// Rejects a query naming a variable `session` has not created: queries
+/// read the live tables, so an id past them would index out of bounds.
+/// Staged but uncommitted `vars` do not count until `commit`.
+fn check_vars(session: &Session, vars: &[Var]) -> Result<(), Response> {
+    let live = session.solver().graph_len();
+    match vars.iter().find(|v| v.index() >= live) {
+        Some(v) => Err(Response::Err(format!("no such var v{}", v.index()))),
+        None => Ok(()),
+    }
+}
+
 /// Executes one request against `session`, staging mutations into
 /// `pending`. Pure dispatch: the transport loop and tests share it.
 pub fn execute(session: &mut Session, pending: &mut Delta, req: Request) -> Response {
@@ -378,11 +391,17 @@ pub fn execute(session: &mut Session, pending: &mut Delta, req: Request) -> Resp
             ))
         }
         Request::PointsTo(v) => {
+            if let Err(e) = check_vars(session, &[v]) {
+                return e;
+            }
             let set: Vec<String> =
                 session.points_to(v).iter().map(|t| format!("t{}", t.index())).collect();
             Response::Ok(format!("{{{}}}", set.join(",")))
         }
         Request::Alias(a, b) => {
+            if let Err(e) = check_vars(session, &[a, b]) {
+                return e;
+            }
             let sa = session.points_to(a).to_vec();
             let sb = session.points_to(b);
             Response::Ok(if intersects(&sa, sb) { "yes" } else { "no" }.to_string())
@@ -507,11 +526,19 @@ pub fn execute_fleet(fleet: &mut ShardManager, pending: &mut Delta, req: Request
             }
         }
         Request::PointsTo(v) => {
+            // `AddVars` fans out to every shard, so shard 0's variable
+            // count is the fleet's.
+            if let Err(e) = check_vars(fleet.session(0), &[v]) {
+                return e;
+            }
             let set: Vec<String> =
                 fleet.points_to(v).iter().map(|t| format!("t{}", t.index())).collect();
             Response::Ok(format!("{{{}}}", set.join(",")))
         }
         Request::Alias(a, b) => {
+            if let Err(e) = check_vars(fleet.session(0), &[a, b]) {
+                return e;
+            }
             Response::Ok(if fleet.alias(a, b) { "yes" } else { "no" }.to_string())
         }
         Request::Stats => {
@@ -551,6 +578,9 @@ pub fn execute_fleet(fleet: &mut ShardManager, pending: &mut Delta, req: Request
             }
             match *inner {
                 Request::PointsTo(v) => {
+                    if let Err(e) = check_vars(fleet.session(shard), &[v]) {
+                        return e;
+                    }
                     let set: Vec<String> = fleet
                         .shard_points_to(shard, v)
                         .iter()
@@ -559,6 +589,9 @@ pub fn execute_fleet(fleet: &mut ShardManager, pending: &mut Delta, req: Request
                     Response::Ok(format!("{{{}}}", set.join(",")))
                 }
                 Request::Alias(a, b) => {
+                    if let Err(e) = check_vars(fleet.session(shard), &[a, b]) {
+                        return e;
+                    }
                     let sa = fleet.shard_points_to(shard, a).to_vec();
                     let sb = fleet.shard_points_to(shard, b);
                     Response::Ok(if intersects(&sa, sb) { "yes" } else { "no" }.to_string())
@@ -819,6 +852,64 @@ mod tests {
         assert!(responses[16].starts_with("err rejected: cross-shard group"));
         assert_eq!(responses[17], "ok {t2}");
         assert_eq!(responses[18], "ok bye");
+    }
+
+    /// Runs `lines` through `exec`, returning each response rendered.
+    fn run_lines(mut exec: impl FnMut(Request) -> Response, lines: &[&str]) -> Vec<String> {
+        lines.iter().map(|l| exec(parse_request(l).unwrap()).render()).collect()
+    }
+
+    /// Queries naming a variable past the live tables get an error, not a
+    /// panic, and leave the session answering exactly as before.
+    #[test]
+    fn session_rejects_out_of_range_query_ids() {
+        let mut session = crate::SessionBuilder::new().build();
+        let mut pending = Delta::new();
+        let mut exec = |r| execute(&mut session, &mut pending, r);
+        let setup =
+            run_lines(&mut exec, &["con c", "term c", "vars 2", "group t2 <= v0", "commit"]);
+        assert!(setup.iter().all(|r| r.starts_with("ok")), "{setup:?}");
+        let before = run_lines(&mut exec, &["stats"]);
+        let got = run_lines(
+            &mut exec,
+            &["points-to v99", "alias v0 v99", "route 0 points-to v2", "points-to v0", "stats"],
+        );
+        assert_eq!(got[0], "err no such var v99");
+        assert_eq!(got[1], "err no such var v99");
+        assert_eq!(got[2], "err no such var v2");
+        assert_eq!(got[3], "ok {t2}", "the next valid query still answers");
+        assert_eq!(got[4], before[0], "stats unchanged");
+    }
+
+    /// The fleet counterpart: unrouted and routed queries on a width-2
+    /// fleet range-check against the shard they read.
+    #[test]
+    fn fleet_rejects_out_of_range_query_ids() {
+        let mut fleet = ShardManager::new(&crate::SessionBuilder::new(), 2);
+        let mut pending = Delta::new();
+        let mut exec = |r| execute_fleet(&mut fleet, &mut pending, r);
+        let setup =
+            run_lines(&mut exec, &["con c", "term c", "vars 2", "group t2 <= v0", "commit"]);
+        assert!(setup.iter().all(|r| r.starts_with("ok")), "{setup:?}");
+        let before = run_lines(&mut exec, &["stats", "route 1 stats"]);
+        let got = run_lines(
+            &mut exec,
+            &[
+                "points-to v99",
+                "alias v0 v99",
+                "route 1 points-to v99",
+                "route 0 alias v99 v0",
+                "points-to v0",
+                "stats",
+                "route 1 stats",
+            ],
+        );
+        assert_eq!(got[0], "err no such var v99");
+        assert_eq!(got[1], "err no such var v99");
+        assert_eq!(got[2], "err no such var v99");
+        assert_eq!(got[3], "err no such var v99");
+        assert_eq!(got[4], "ok {t2}", "the next valid query still answers");
+        assert_eq!(got[5..], before[..], "stats unchanged");
     }
 
     #[test]

@@ -228,7 +228,6 @@ pub struct Session {
     solver: Solver,
     par: ParLeast,
     threads: usize,
-    batch_rounds: usize,
     kind: SolSetKind,
     ls: Option<LeastSolution>,
     revision: Option<GraphRevision>,
@@ -258,7 +257,6 @@ impl Session {
             solver,
             par: ParLeast::new(),
             threads: 1,
-            batch_rounds: 1,
             kind,
             ls: None,
             revision: None,
@@ -294,7 +292,6 @@ impl Session {
             groups: Vec::new(),
             par: ParLeast::new(),
             threads: threads.max(1),
-            batch_rounds: 1,
             kind,
             ls: None,
             revision: None,
@@ -342,25 +339,6 @@ impl Session {
     /// The worker count used for revalidation.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Sets the recorded commit-batch depth (clamped to at least 1). See
-    /// [`batch_rounds`](Session::batch_rounds).
-    pub fn set_batch_rounds(&mut self, rounds: usize) {
-        self.batch_rounds = rounds.max(1);
-    }
-
-    /// The session's recorded commit-batch depth.
-    ///
-    /// Sessions themselves solve on the canonical sequential schedule (the
-    /// byte-identity contract leaves no room for a different one), so this
-    /// knob changes no observable; it is configuration metadata that
-    /// harnesses driving a frontier-batched engine beside the session (the
-    /// bench suite's `--batch-rounds`) stamp here so one
-    /// [`SessionBuilder`](crate::SessionBuilder) recipe carries the full
-    /// deployment configuration.
-    pub fn batch_rounds(&self) -> usize {
-        self.batch_rounds
     }
 
     /// The solution-set backend in use.

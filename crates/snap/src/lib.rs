@@ -1,8 +1,8 @@
 //! On-disk snapshots of solved runs and the concurrent read-only query
 //! index over them.
 //!
-//! Inclusion-based analysis is solve-once, query-many: the cubic solving
-//! frontier makes the solved graph the expensive artifact, and the cycle
+//! Inclusion-based analysis is solve-once, query-many: the cubic cost of
+//! solving makes the solved graph the expensive artifact, and the cycle
 //! elimination of the source paper only pays off downstream if that
 //! artifact can be *served* cheaply. This crate turns a converged
 //! [`Solver`](bane_core::Solver) into a servable product:
