@@ -18,6 +18,16 @@
 //! `g`-free derivation exists. Retraction therefore over-deletes and
 //! re-derives (delete-and-rederive), which is sound.
 //!
+//! Unions are lazy. A queued constraint carries its provenance as an
+//! unresolved *pair* of ids whose union is the constraint's provenance; most
+//! queued constraints turn out redundant, and their pair is dropped without
+//! ever being interned. The solver resolves a pair to one interned set only
+//! where a concrete set is recorded: when the constraint stores a new
+//! adjacency entry, when it justifies a cycle collapse, and when it records
+//! an inconsistency. Union is associative and commutative and saturation
+//! depends only on the final set's width, so every recorded set is the one
+//! an eager union at queue time would have produced.
+//!
 //! Two sentinel ids bound the lattice: [`ProvTable::EMPTY`] (no group — facts
 //! added outside any group, never retracted) and [`ProvTable::TOP`]
 //! ("depends on everything" — the saturation value for sets wider than
@@ -25,7 +35,9 @@
 //! attributed exactly, such as offline cycle-elimination sweeps). `TOP`
 //! intersects every retraction, forcing the conservative fallback path.
 
-use bane_util::FxHashMap;
+use std::hash::{Hash, Hasher};
+
+use bane_util::{FxHashMap, FxHasher};
 
 /// Interned handle to a sorted set of group ids in a [`ProvTable`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -44,13 +56,29 @@ impl ProvId {
 /// it only widens the set of retractions that fall back to replay.
 pub const MAX_PROV_GROUPS: usize = 64;
 
+/// End of a collision chain in [`ProvTable::chain`].
+const NIL: u32 = u32::MAX;
+
+/// The content hash interned sets are looked up by.
+fn content_hash(sorted: &[u32]) -> u64 {
+    let mut h = FxHasher::default();
+    sorted.hash(&mut h);
+    h.finish()
+}
+
 /// The provenance interner: each distinct sorted group-id set stored once.
 #[derive(Clone, Debug)]
 pub struct ProvTable {
     /// Concatenated sorted group ids; `spans[p]` delimits set `p`.
     ids: Vec<u32>,
     spans: Vec<(u32, u32)>,
-    lookup: FxHashMap<Vec<u32>, ProvId>,
+    /// Content hash → the most recently interned set with that hash. The
+    /// sets themselves are the only copy of their members: a hash hit is
+    /// confirmed by comparing member slices in `ids`.
+    lookup: FxHashMap<u64, ProvId>,
+    /// Parallel to `spans`: the next older set with the same content hash,
+    /// or [`NIL`].
+    chain: Vec<u32>,
     /// Pairwise union results, keyed with the smaller id first.
     union_memo: FxHashMap<(ProvId, ProvId), ProvId>,
     scratch: Vec<u32>,
@@ -74,16 +102,15 @@ impl ProvTable {
     pub fn new() -> Self {
         let mut t = ProvTable {
             ids: Vec::new(),
-            spans: Vec::new(),
+            spans: vec![(0, 0); 2],
             lookup: FxHashMap::default(),
+            chain: vec![NIL; 2],
             union_memo: FxHashMap::default(),
             scratch: Vec::new(),
         };
-        // Slot 0: EMPTY, slot 1: TOP. Neither is reachable through `lookup`
-        // (TOP is not a concrete id list), so they are pushed by hand.
-        t.spans.push((0, 0));
-        t.spans.push((0, 0));
-        t.lookup.insert(Vec::new(), Self::EMPTY);
+        // Slot 0 is EMPTY and slot 1 is TOP. Only EMPTY is reachable
+        // through `lookup`: TOP is not a concrete id list.
+        t.lookup.insert(content_hash(&[]), Self::EMPTY);
         t
     }
 
@@ -179,15 +206,27 @@ impl ProvTable {
     }
 
     fn intern_sorted(&mut self, sorted: &[u32]) -> ProvId {
+        self.intern_with_hash(sorted, content_hash(sorted))
+    }
+
+    /// Interns `sorted` under `hash`, which must be the same for every call
+    /// with the same set (tests pass a fixed hash to force collisions).
+    fn intern_with_hash(&mut self, sorted: &[u32], hash: u64) -> ProvId {
         debug_assert!(sorted.windows(2).all(|w| w[0] < w[1]));
-        if let Some(&hit) = self.lookup.get(sorted) {
-            return hit;
+        let head = self.lookup.get(&hash).map_or(NIL, |p| p.0);
+        let mut cur = head;
+        while cur != NIL {
+            if self.members(ProvId(cur)) == sorted {
+                return ProvId(cur);
+            }
+            cur = self.chain[cur as usize];
         }
         let lo = self.ids.len() as u32;
         self.ids.extend_from_slice(sorted);
         let id = ProvId(self.spans.len() as u32);
         self.spans.push((lo, self.ids.len() as u32));
-        self.lookup.insert(sorted.to_vec(), id);
+        self.chain.push(head);
+        self.lookup.insert(hash, id);
         id
     }
 }
@@ -195,6 +234,8 @@ impl ProvTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn sentinels_and_singletons() {
@@ -238,5 +279,78 @@ mod tests {
         }
         assert!(t.is_top(acc));
         assert!(t.intersects(acc, &[MAX_PROV_GROUPS as u32 + 100]));
+    }
+
+    #[test]
+    fn colliding_hashes_chain_without_merging_sets() {
+        let mut t = ProvTable::new();
+        let sets: Vec<Vec<u32>> = vec![vec![1], vec![2], vec![1, 2], vec![0, 7, 9], vec![3]];
+        let ids: Vec<ProvId> = sets.iter().map(|s| t.intern_with_hash(s, 7)).collect();
+        for (i, s) in sets.iter().enumerate() {
+            assert_eq!(t.members(ids[i]), s.as_slice(), "round trip through the chain");
+            assert_eq!(t.intern_with_hash(s, 7), ids[i], "re-intern finds the chained id");
+            for j in 0..i {
+                assert_ne!(ids[i], ids[j], "distinct sets under one hash stay distinct");
+            }
+        }
+        assert_eq!(t.len(), 2 + sets.len(), "re-interning added nothing");
+    }
+
+    /// A set in the model: `None` is the saturated `TOP`.
+    type Model = Option<BTreeSet<u32>>;
+
+    fn model_union(a: &Model, b: &Model) -> Model {
+        let u: BTreeSet<u32> = a.as_ref()?.union(b.as_ref()?).copied().collect();
+        (u.len() <= MAX_PROV_GROUPS).then_some(u)
+    }
+
+    fn intern_model(t: &mut ProvTable, s: &BTreeSet<u32>) -> ProvId {
+        s.iter().fold(ProvTable::EMPTY, |acc, &g| {
+            let one = t.singleton(g);
+            t.union(acc, one)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `union` agrees with a `BTreeSet` model, saturation included,
+        /// and interning is canonical: equal ids iff equal sets.
+        #[test]
+        fn union_and_interning_match_a_set_model(
+            raw in prop::collection::vec(prop::collection::vec(0u32..100, 0..48), 1..10),
+            pairs in prop::collection::vec((0usize..64, 0usize..64), 0..40),
+        ) {
+            let mut t = ProvTable::new();
+            let mut ids: Vec<ProvId> = Vec::new();
+            let mut models: Vec<Model> = Vec::new();
+            for r in &raw {
+                let s: BTreeSet<u32> = r.iter().copied().collect();
+                let id = intern_model(&mut t, &s);
+                ids.push(id);
+                models.push((s.len() <= MAX_PROV_GROUPS).then_some(s));
+            }
+            for &(i, j) in &pairs {
+                let (i, j) = (i % ids.len(), j % ids.len());
+                ids.push(t.union(ids[i], ids[j]));
+                models.push(model_union(&models[i], &models[j]));
+            }
+            for (id, m) in ids.iter().zip(&models) {
+                match m {
+                    None => prop_assert!(t.is_top(*id)),
+                    Some(m) => {
+                        let members: Vec<u32> = m.iter().copied().collect();
+                        prop_assert!(!t.is_top(*id));
+                        prop_assert_eq!(t.members(*id), members.as_slice());
+                        prop_assert_eq!(t.intern_sorted(&members), *id);
+                    }
+                }
+            }
+            for (a, ma) in ids.iter().zip(&models) {
+                for (b, mb) in ids.iter().zip(&models) {
+                    prop_assert_eq!(a == b, ma == mb);
+                }
+            }
+        }
     }
 }

@@ -215,6 +215,11 @@ struct NodeProv {
     succ_snks: Vec<ProvId>,
 }
 
+/// An unresolved provenance: the union of the two ids is the provenance.
+/// Queued constraints carry one so that a constraint that turns out
+/// redundant never interns its union (see [`crate::prov`]).
+type ProvPair = (ProvId, ProvId);
+
 /// Provenance-tracking state (the `fast_apply` side-table; see
 /// [`crate::prov`] and `docs/INCREMENTAL.md`). Boxed on the solver so the
 /// common untracked configuration pays one null check per probe.
@@ -223,13 +228,14 @@ struct ProvState {
     table: ProvTable,
     /// Parallel to `Solver::pending`: the provenance of each queued
     /// constraint (pushed and popped in lockstep with it).
-    pending_prov: VecDeque<ProvId>,
+    pending_prov: VecDeque<ProvPair>,
     /// Ambient tag applied to constraints entering through
     /// [`Solver::add`] (set by [`Solver::set_current_group`]).
     current_group: ProvId,
-    /// Provenance of the constraint currently being processed; derived
-    /// facts union it with the provenance of the edges they meet.
-    current: ProvId,
+    /// Provenance of the constraint currently being processed, resolved
+    /// on first use by [`resolve_current`](ProvState::resolve_current);
+    /// derived facts pair it with the provenance of the edges they meet.
+    current: ProvPair,
     /// Per-node mirrors, indexed like `Graph::nodes`.
     nodes: Vec<NodeProv>,
     /// One justification per collapse, in collapse order: the union of the
@@ -248,6 +254,17 @@ struct ProvState {
     /// damaged variable, which is what lets the repair pass re-fire only
     /// scans near the damage instead of replaying every canonical edge.
     damaged: Vec<Var>,
+}
+
+impl ProvState {
+    /// Interns the in-flight pair's union and keeps it as the (now
+    /// resolved) in-flight provenance, so later uses are free.
+    fn resolve_current(&mut self) -> ProvId {
+        let (a, b) = self.current;
+        let p = self.table.union(a, b);
+        self.current = (p, ProvTable::EMPTY);
+        p
+    }
 }
 
 /// The inclusion-constraint solver.
@@ -507,7 +524,7 @@ impl Solver {
             table: ProvTable::new(),
             pending_prov: VecDeque::new(),
             current_group: ProvTable::EMPTY,
-            current: ProvTable::EMPTY,
+            current: (ProvTable::EMPTY, ProvTable::EMPTY),
             nodes: vec![NodeProv::default(); self.graph.len()],
             collapse_log: Vec::new(),
             next_justification: None,
@@ -734,12 +751,13 @@ impl Solver {
                 }
             }
         }
-        // The scans union the triggering entry's provenance (set as
+        // The scans pair the triggering entry's provenance (set as
         // `current`) with each co-located premise's mirror entry, so every
         // re-derived fact records a derivation that is valid *after* the
-        // retraction.
+        // retraction. Meets pair their two premises the same way; either
+        // pair is interned only if it stores a fact.
         for (is_pred, pivot, operand, pr) in scans {
-            self.prov.as_mut().expect("checked").current = pr;
+            self.prov.as_mut().expect("checked").current = (pr, ProvTable::EMPTY);
             if is_pred {
                 self.fire_pred_scan(pivot, operand);
             } else {
@@ -747,14 +765,11 @@ impl Solver {
             }
         }
         for (s, t, ps, pt) in meets {
-            {
-                let p = self.prov.as_mut().expect("checked");
-                p.current = p.table.union(ps, pt);
-            }
+            self.prov.as_mut().expect("checked").current = (ps, pt);
             self.resolve_terms(s, t);
         }
         if let Some(p) = &mut self.prov {
-            p.current = ProvTable::EMPTY;
+            p.current = (ProvTable::EMPTY, ProvTable::EMPTY);
         }
     }
 
@@ -820,12 +835,13 @@ impl Solver {
         self.stats.constraints_added += 1;
         if let Some(p) = &mut self.prov {
             let g = p.current_group;
-            p.pending_prov.push_back(g);
+            p.pending_prov.push_back((g, ProvTable::EMPTY));
         }
         self.pending.push_back((lhs.into(), rhs.into()));
     }
 
-    /// Queues a derived constraint carrying the in-flight provenance.
+    /// Queues a derived constraint carrying the in-flight provenance,
+    /// resolved or not.
     #[inline]
     fn push_pending(&mut self, lhs: SetExpr, rhs: SetExpr) {
         if let Some(p) = &mut self.prov {
@@ -840,7 +856,7 @@ impl Solver {
     #[inline]
     fn push_pending_with(&mut self, lhs: SetExpr, rhs: SetExpr, prov: ProvId) {
         if let Some(p) = &mut self.prov {
-            p.pending_prov.push_back(prov);
+            p.pending_prov.push_back((prov, ProvTable::EMPTY));
         }
         self.pending.push_back((lhs, rhs));
     }
@@ -892,7 +908,10 @@ impl Solver {
         };
         while let Some((lhs, rhs)) = self.pending.pop_front() {
             if let Some(p) = &mut self.prov {
-                p.current = p.pending_prov.pop_front().unwrap_or(ProvTable::EMPTY);
+                p.current = p
+                    .pending_prov
+                    .pop_front()
+                    .unwrap_or((ProvTable::EMPTY, ProvTable::EMPTY));
             }
             self.process(lhs, rhs, closure);
             if periodic != 0 && self.stats.constraints_processed.is_multiple_of(periodic) {
@@ -931,7 +950,7 @@ impl Solver {
     fn inconsistent(&mut self, err: Inconsistency) {
         self.stats.inconsistencies += 1;
         if let Some(p) = &mut self.prov {
-            let pr = p.current;
+            let pr = p.resolve_current();
             p.error_prov.push(pr);
         }
         #[cfg(feature = "obs")]
@@ -1012,8 +1031,9 @@ impl Solver {
     /// every successor `R`. The untracked arm is byte-identical to the
     /// historical inline code, including the eager compaction that the
     /// provenance arm must skip (it would rewrite list entries out from
-    /// under the positional mirrors); the provenance arm unions the
-    /// triggering constraint's provenance into each derived constraint.
+    /// under the positional mirrors); the provenance arm pairs the
+    /// triggering constraint's provenance with each met entry's, leaving the
+    /// union to whichever derived constraint stores a fact.
     fn fire_succ_scan(&mut self, pivot: Var, lhs: SetExpr) {
         match &mut self.prov {
             None => {
@@ -1027,17 +1047,18 @@ impl Solver {
                 }
             }
             Some(p) => {
-                let ProvState { table, nodes, pending_prov, current, .. } = &mut **p;
+                let current = p.resolve_current();
+                let ProvState { nodes, pending_prov, .. } = &mut **p;
                 let node = self.graph.node(pivot);
                 let mirror = &nodes[pivot.raw() as usize];
                 debug_assert_eq!(node.succ_vars().len(), mirror.succ_vars.len());
                 debug_assert_eq!(node.succ_snks().len(), mirror.succ_snks.len());
                 for (i, &r) in node.succ_vars().iter().enumerate() {
-                    pending_prov.push_back(table.union(*current, mirror.succ_vars[i]));
+                    pending_prov.push_back((current, mirror.succ_vars[i]));
                     self.pending.push_back((lhs, SetExpr::Var(r)));
                 }
                 for (i, &r) in node.succ_snks().iter().enumerate() {
-                    pending_prov.push_back(table.union(*current, mirror.succ_snks[i]));
+                    pending_prov.push_back((current, mirror.succ_snks[i]));
                     self.pending.push_back((lhs, SetExpr::Term(r)));
                 }
             }
@@ -1059,17 +1080,18 @@ impl Solver {
                 }
             }
             Some(p) => {
-                let ProvState { table, nodes, pending_prov, current, .. } = &mut **p;
+                let current = p.resolve_current();
+                let ProvState { nodes, pending_prov, .. } = &mut **p;
                 let node = self.graph.node(pivot);
                 let mirror = &nodes[pivot.raw() as usize];
                 debug_assert_eq!(node.pred_srcs().len(), mirror.pred_srcs.len());
                 debug_assert_eq!(node.pred_vars().len(), mirror.pred_vars.len());
                 for (i, &l) in node.pred_srcs().iter().enumerate() {
-                    pending_prov.push_back(table.union(*current, mirror.pred_srcs[i]));
+                    pending_prov.push_back((current, mirror.pred_srcs[i]));
                     self.pending.push_back((SetExpr::Term(l), rhs));
                 }
                 for (i, &l) in node.pred_vars().iter().enumerate() {
-                    pending_prov.push_back(table.union(*current, mirror.pred_vars[i]));
+                    pending_prov.push_back((current, mirror.pred_vars[i]));
                     self.pending.push_back((SetExpr::Var(l), rhs));
                 }
             }
@@ -1077,11 +1099,11 @@ impl Solver {
     }
 
     /// Records the provenance of a freshly inserted adjacency entry in the
-    /// positional mirror (no-op untracked).
+    /// positional mirror (no-op untracked), resolving the in-flight pair.
     #[inline]
     fn mirror_push(&mut self, v: Var, list: u8) {
         if let Some(p) = &mut self.prov {
-            let pr = p.current;
+            let pr = p.resolve_current();
             let mirror = &mut p.nodes[v.raw() as usize];
             match list {
                 0 => mirror.pred_vars.push(pr),
@@ -1219,8 +1241,8 @@ impl Solver {
                 // is recovered as the first entry of `from`'s dir-list that
                 // canonicalizes to `to`; an unrecoverable step (shouldn't
                 // happen) degrades to `TOP`, which only widens the fallback.
-                let ProvState { table, nodes, current, next_justification, .. } = &mut **p;
-                let mut just = *current;
+                let mut just = p.resolve_current();
+                let ProvState { table, nodes, next_justification, .. } = &mut **p;
                 for w in path.windows(2) {
                     let (from, to) = (w[0], w[1]);
                     let node = self.graph.node(from);
@@ -2232,6 +2254,77 @@ mod provenance_tests {
         assert!(s.retraction_invalidates_collapse(&[0]));
         assert!(s.retraction_invalidates_collapse(&[1]));
         assert!(!s.retraction_invalidates_collapse(&[2]), "uninvolved group");
+    }
+
+    /// A tracked solve of a seeded Andersen-style system (address-of,
+    /// copy, load and store through `ref(loc, +, −)`), every constraint
+    /// tagged with its own atom as a serving session tags them. Returns
+    /// the solver and the number of atoms.
+    fn tracked_andersen(config: SolverConfig, seed: u64) -> (Solver, usize) {
+        const VARS: usize = 80;
+        const LOCS: usize = 24;
+        const CONSTRAINTS: usize = 600;
+        let mut s = Solver::new(config);
+        s.enable_provenance();
+        let r = s.register_con(
+            "ref",
+            vec![Variance::Covariant, Variance::Covariant, Variance::Contravariant],
+        );
+        let vs: Vec<Var> = (0..VARS).map(|_| s.fresh_var()).collect();
+        let locs: Vec<TermId> = (0..LOCS)
+            .map(|l| {
+                let c = s.register_nullary(format!("l{l}"));
+                let name = s.term(c, vec![]);
+                let content = vs[l].into();
+                s.term(r, vec![name.into(), content, content])
+            })
+            .collect();
+        let mut rng = SplitMix64::new(seed);
+        for atom in 0..CONSTRAINTS as u32 {
+            let mut pick = || vs[rng.next_below(VARS as u64) as usize];
+            let (p, q) = (pick(), pick());
+            let kind = rng.next_below(10);
+            s.set_current_group(Some(atom));
+            match kind {
+                0..=1 => s.add(locs[rng.next_below(LOCS as u64) as usize], p),
+                2..=5 => s.add(q, p),
+                6..=7 => {
+                    let load = s.term(r, vec![SetExpr::One, q.into(), SetExpr::Zero]);
+                    s.add(p, load);
+                }
+                _ => {
+                    let store = s.term(r, vec![SetExpr::One, SetExpr::One, q.into()]);
+                    s.add(p, store);
+                }
+            }
+        }
+        s.set_current_group(None);
+        s.solve();
+        (s, CONSTRAINTS)
+    }
+
+    /// Unions are interned only where a fact is recorded: a stored
+    /// adjacency entry, a collapse justification (one union per chain step
+    /// plus the trigger) or an inconsistency. So the table can hold at most
+    /// the sentinels, the atom singletons and one set per recorded union —
+    /// however many derived constraints were queued and found redundant.
+    #[test]
+    fn provenance_table_grows_only_with_recorded_facts() {
+        for config in configs_under_test() {
+            for seed in [3, 0xBEEF] {
+                let (s, atoms) = tracked_andersen(config, seed);
+                let st = s.stats();
+                let stored = st.work - st.redundant;
+                let chains = st.vars_eliminated + st.cycles_collapsed;
+                let bound = 2 + atoms as u64 + stored + chains + st.inconsistencies;
+                let len = s.prov.as_ref().expect("tracked").table.len() as u64;
+                assert!(
+                    len <= bound,
+                    "{config:?} seed {seed}: {len} interned sets exceed the {bound} recorded facts"
+                );
+                assert!(st.redundant > stored, "{config:?} seed {seed}: the system must be redundant");
+            }
+        }
     }
 
     /// Offline (periodic) collapses cannot attribute their cycles and must

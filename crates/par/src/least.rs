@@ -122,7 +122,7 @@ enum ScanKind {
 struct WorkBufs {
     arena: Vec<TermId>,
     /// Indexed by raw variable index; `(0, 0)` until the variable's level
-    /// commits (and forever, for collapsed variables and empty sets).
+    /// commits. Collapsed variables and empty sets keep an empty span.
     spans: Vec<(u32, u32)>,
     /// This run's fresh elements per variable (sorted, distinct).
     delta_arena: Vec<TermId>,
@@ -308,8 +308,12 @@ pub struct ParLeast {
     csr: CsrSnapshot,
     work: WorkBufs,
     workers: Vec<Mutex<WorkerState>>,
-    final_arena: Vec<TermId>,
-    final_spans: Vec<(u32, u32)>,
+    /// Relayout buffers: each pass writes its sets here in the sequential
+    /// arena order, then swaps them into `work` (see
+    /// [`relayout`](ParLeast::relayout)), so between passes these hold the
+    /// previous working arena, kept only for its capacity.
+    relayout_arena: Vec<TermId>,
+    relayout_spans: Vec<(u32, u32)>,
     /// The previous run's rows, representative map, and validity — the
     /// difference-propagation baseline (see the module docs).
     prev_csr: CsrSnapshot,
@@ -481,35 +485,17 @@ impl ParLeast {
             self.work = work.into_inner().expect("work lock poisoned");
         }
 
-        // Relayout into the sequential pass's exact arena order. Standard
-        // form commits a span for every canonical variable (empty sets get
-        // the degenerate `(k, k)`); inductive form leaves empty sets at
-        // `(0, 0)`.
-        self.final_arena.clear();
-        self.final_spans.clear();
-        self.final_spans.resize(n, (0, 0));
-        for &v in &self.layout {
-            let (s, e) = self.work.spans[v.index()];
-            if e > s || matches!(parts.form, Form::Standard) {
-                let start = u32::try_from(self.final_arena.len())
-                    .expect("least-solution arena overflow");
-                self.final_arena
-                    .extend_from_slice(&self.work.arena[s as usize..e as usize]);
-                self.final_spans[v.index()] = (start, start + (e - s));
-            }
-        }
+        self.relayout(parts.form);
 
-        // Record this run as the next diff baseline: the stable arena plus
-        // these rows and representatives are exactly what an incremental
-        // follow-up needs.
+        // Record this run as the next diff baseline: the relaid-out stable
+        // arena plus these rows and representatives are exactly what an
+        // incremental follow-up needs.
         self.prev_csr.copy_from(&self.csr);
         self.prev_rep.clone_from(&self.rep);
         self.prev_valid = true;
 
         if let Some(rec) = rec {
-            let set_vars = self.final_spans.iter().filter(|(s, e)| e > s).count();
-            rec.set(Counter::LsSetVars, set_vars as u64);
-            rec.set(Counter::LsEntries, self.final_arena.len() as u64);
+            self.record_ls_counters(rec);
             if diff_active {
                 rec.add(Counter::LsDeltaFull, self.work.stat_full);
                 rec.add(Counter::LsDeltaIncr, self.work.stat_incr);
@@ -588,10 +574,11 @@ impl ParLeast {
     /// reports how localized the pass was; an unchanged system reports zero
     /// dirty variables and zero dirty levels.
     ///
-    /// Retained arena note: reused spans keep their old arena positions, so
-    /// the working arena compacts only on the next full
-    /// [`run_with`](ParLeast::run_with); a long-lived session trades that
-    /// growth for not re-merging the clean majority of the system.
+    /// Recomputed sets are appended to the working arena, and the pass ends
+    /// by relaying every set out in the sequential order and adopting that
+    /// compact layout as the next baseline. So the working arena never
+    /// holds more than one solution plus one pass's recomputed sets,
+    /// however many passes a long-lived session runs.
     pub fn run_revalidate(
         &mut self,
         parts: &LeastParts<'_>,
@@ -717,30 +704,15 @@ impl ParLeast {
             }
         }
 
-        // Relayout into the sequential pass's exact arena order — reused
-        // and recomputed spans alike.
-        self.final_arena.clear();
-        self.final_spans.clear();
-        self.final_spans.resize(n, (0, 0));
-        for &v in &self.layout {
-            let (s, e) = self.work.spans[v.index()];
-            if e > s || matches!(parts.form, Form::Standard) {
-                let start = u32::try_from(self.final_arena.len())
-                    .expect("least-solution arena overflow");
-                self.final_arena
-                    .extend_from_slice(&self.work.arena[s as usize..e as usize]);
-                self.final_spans[v.index()] = (start, start + (e - s));
-            }
-        }
+        // Reused and recomputed spans alike move to the compact layout.
+        self.relayout(parts.form);
 
         self.prev_csr.copy_from(&self.csr);
         self.prev_rep.clone_from(&self.rep);
         self.prev_valid = true;
 
         if let Some(rec) = rec {
-            let set_vars = self.final_spans.iter().filter(|(s, e)| e > s).count();
-            rec.set(Counter::LsSetVars, set_vars as u64);
-            rec.set(Counter::LsEntries, self.final_arena.len() as u64);
+            self.record_ls_counters(rec);
             if let Some(t0) = t0 {
                 rec.record_ns(Phase::ParLeast, t0.elapsed().as_nanos() as u64);
             }
@@ -755,6 +727,39 @@ impl ParLeast {
         }
     }
 
+    /// Relays the working sets out in the sequential pass's exact arena
+    /// order and swaps the result into `work`, so the next pass reuses
+    /// compact spans and [`solution`](ParLeast::solution) reads them
+    /// directly; the old working arena becomes the next relayout's buffer.
+    /// Standard form commits a span for every canonical variable (empty
+    /// sets get the degenerate `(k, k)`); inductive form leaves empty sets
+    /// at `(0, 0)`.
+    fn relayout(&mut self, form: Form) {
+        self.relayout_arena.clear();
+        self.relayout_spans.clear();
+        self.relayout_spans.resize(self.rep.len(), (0, 0));
+        for &v in &self.layout {
+            let (s, e) = self.work.spans[v.index()];
+            if e > s || matches!(form, Form::Standard) {
+                let start = u32::try_from(self.relayout_arena.len())
+                    .expect("least-solution arena overflow");
+                self.relayout_arena
+                    .extend_from_slice(&self.work.arena[s as usize..e as usize]);
+                self.relayout_spans[v.index()] = (start, start + (e - s));
+            }
+        }
+        std::mem::swap(&mut self.work.arena, &mut self.relayout_arena);
+        std::mem::swap(&mut self.work.spans, &mut self.relayout_spans);
+    }
+
+    /// Sets the `ls.*` size counters to match the sequential pass's
+    /// accounting.
+    fn record_ls_counters(&self, rec: &Recorder) {
+        let set_vars = self.work.spans.iter().filter(|(s, e)| e > s).count();
+        rec.set(Counter::LsSetVars, set_vars as u64);
+        rec.set(Counter::LsEntries, self.work.arena.len() as u64);
+    }
+
     /// The solution computed by the last [`run`](ParLeast::run), as an owned
     /// [`LeastSolution`] (byte-identical to the sequential pass's).
     ///
@@ -765,8 +770,8 @@ impl ParLeast {
     pub fn solution(&self) -> LeastSolution {
         LeastSolution::from_parts(
             self.rep.clone(),
-            self.final_arena.clone(),
-            self.final_spans.clone(),
+            self.work.arena.clone(),
+            self.work.spans.clone(),
         )
     }
 
@@ -1255,6 +1260,33 @@ mod tests {
                         assert!(out.total_levels >= out.dirty_levels);
                     }
                 }
+            }
+        }
+    }
+
+    /// A long-lived session alternates edits and undos forever: every pass
+    /// adopts the compact relayout as its baseline, so the working arena
+    /// stops growing after the first edit/undo pair.
+    #[test]
+    fn alternating_revalidate_passes_keep_the_arena_compact() {
+        let config = SolverConfig::if_online();
+        let (mut shrunk, _) = random_system(config, 0xA7E7, 5);
+        let (mut full, _) = random_system(config, 0xA7E7, 0);
+        let mut par = ParLeast::new();
+        let mut after_second = 0;
+        for pass in 1..=50 {
+            let s = if pass % 2 == 0 { &mut full } else { &mut shrunk };
+            let out = par.run_revalidate(&s.least_parts(), 1, SolSetKind::SortedSpan, None);
+            assert_eq!(par.solution(), s.least_solution(), "pass {pass}");
+            if pass == 2 {
+                assert!(out.dirty_vars > 0, "the edit must recompute something");
+                after_second = par.work.arena.len();
+            } else if pass > 2 {
+                assert!(
+                    par.work.arena.len() <= after_second,
+                    "pass {pass}: working arena grew to {} from {after_second}",
+                    par.work.arena.len()
+                );
             }
         }
     }

@@ -96,29 +96,53 @@ impl LiveGroup {
         LiveGroup { constraints, atoms, next_bucket: 0 }
     }
 
+    /// Each constraint with its atom, in group order.
+    fn tagged(&self) -> impl Iterator<Item = (SetExpr, SetExpr, u32)> + '_ {
+        self.constraints.iter().zip(&self.atoms).map(|(&(lhs, rhs), &a)| (lhs, rhs, a))
+    }
+
     /// Rebinds the slot to `new` contents: occurrences also present in the
     /// old contents keep their atom (multiset matching), genuinely new
     /// constraints get rotating fresh buckets. Returns the atoms of the
-    /// *removed* occurrences — exactly what this edit retracts.
-    fn rebind(&mut self, group: u32, new: Vec<(SetExpr, SetExpr)>) -> Vec<u32> {
+    /// *removed* occurrences — exactly what this edit retracts — and the
+    /// genuinely new constraints with their fresh atoms.
+    fn rebind(
+        &mut self,
+        group: u32,
+        new: Vec<(SetExpr, SetExpr)>,
+    ) -> (Vec<u32>, Vec<(SetExpr, SetExpr, u32)>) {
         let mut pool: FxHashMap<(SetExpr, SetExpr), Vec<u32>> = FxHashMap::default();
         for (c, &a) in self.constraints.iter().zip(&self.atoms) {
             pool.entry(*c).or_default().push(a);
         }
         let mut atoms = Vec::with_capacity(new.len());
-        for c in &new {
-            let inherited = pool.get_mut(c).and_then(Vec::pop);
-            atoms.push(inherited.unwrap_or_else(|| {
-                let a = atom(group, self.next_bucket);
-                self.next_bucket = (self.next_bucket + 1) % ATOM_BUCKETS;
-                a
-            }));
+        let mut fresh = Vec::new();
+        for &(lhs, rhs) in &new {
+            let a = match pool.get_mut(&(lhs, rhs)).and_then(Vec::pop) {
+                Some(inherited) => inherited,
+                None => {
+                    let a = atom(group, self.next_bucket);
+                    self.next_bucket = (self.next_bucket + 1) % ATOM_BUCKETS;
+                    fresh.push((lhs, rhs, a));
+                    a
+                }
+            };
+            atoms.push(a);
         }
         let removed: Vec<u32> = pool.into_values().flatten().collect();
         self.constraints = new;
         self.atoms = atoms;
-        removed
+        (removed, fresh)
     }
+}
+
+/// Adds `constraints` to `solver`, each tagged with its provenance atom.
+fn feed(solver: &mut Solver, constraints: impl IntoIterator<Item = (SetExpr, SetExpr, u32)>) {
+    for (lhs, rhs, a) in constraints {
+        solver.set_current_group(Some(a));
+        solver.add(lhs, rhs);
+    }
+    solver.set_current_group(None);
 }
 
 /// How a session re-solves **non-monotone** deltas — the two-tier contract
@@ -391,11 +415,7 @@ impl Session {
                         let gid = self.groups.len() as u32;
                         new_groups.push(GroupId::new(gid));
                         let group = LiveGroup::new(gid, constraints.clone());
-                        for (&(lhs, rhs), &a) in group.constraints.iter().zip(&group.atoms) {
-                            self.solver.set_current_group(Some(a));
-                            self.solver.add(lhs, rhs);
-                        }
-                        self.solver.set_current_group(None);
+                        feed(&mut self.solver, group.tagged());
                         self.groups.push(Some(group));
                     }
                     DeltaOp::RemoveGroup(_) | DeltaOp::EditGroup { .. } => unreachable!(),
@@ -406,11 +426,12 @@ impl Session {
             // One bookkeeping pass over the ops, collecting the retraction
             // set at provenance-atom granularity — whole slots for
             // `RemoveGroup`, the multiset diff for `EditGroup` (surviving
-            // constraints keep their atoms and are not retracted). The tier
-            // decision needs the full set, and the live solver must not see
-            // new variables before that decision, so solver-side var syncs
-            // are deferred.
+            // constraints keep their atoms and are not retracted) — and the
+            // constraints that got fresh atoms. The tier decision needs the
+            // full set, and the live solver must not see new variables
+            // before that decision, so solver-side var syncs are deferred.
             let mut retract_atoms: Vec<u32> = Vec::new();
+            let mut fresh: Vec<(SetExpr, SetExpr, u32)> = Vec::new();
             let mut new_vars: Vec<Var> = Vec::new();
             for op in delta.ops() {
                 match op {
@@ -422,7 +443,9 @@ impl Session {
                     DeltaOp::AddGroup { constraints } => {
                         let gid = self.groups.len() as u32;
                         new_groups.push(GroupId::new(gid));
-                        self.groups.push(Some(LiveGroup::new(gid, constraints.clone())));
+                        let group = LiveGroup::new(gid, constraints.clone());
+                        fresh.extend(group.tagged());
+                        self.groups.push(Some(group));
                     }
                     DeltaOp::RemoveGroup(g) => {
                         let slot = self
@@ -441,7 +464,9 @@ impl Session {
                         let lg = slot
                             .as_mut()
                             .unwrap_or_else(|| panic!("cannot edit removed group: {g}"));
-                        retract_atoms.extend(lg.rebind(g.index() as u32, constraints.clone()));
+                        let (removed, added) = lg.rebind(g.index() as u32, constraints.clone());
+                        retract_atoms.extend(removed);
+                        fresh.extend(added);
                     }
                 }
             }
@@ -456,10 +481,16 @@ impl Session {
                     let b = self.solver.fresh_var();
                     debug_assert_eq!(v, b);
                 }
-                if !retract_atoms.is_empty() {
+                if retract_atoms.is_empty() {
+                    // Nothing retracted: the retained graph is still the
+                    // closure of every surviving constraint, so only the
+                    // fresh ones need solving.
+                    feed(&mut self.solver, fresh);
+                    self.solver.solve();
+                } else {
                     retracted_edges = self.solver.retract_groups(&retract_atoms);
+                    self.repair();
                 }
-                self.repair();
                 fast_repaired = true;
             } else {
                 fell_back = self.mode == ApplyMode::Fast;
@@ -527,13 +558,7 @@ impl Session {
             if obs {
                 solver.enable_obs();
             }
-            for group in self.groups.iter().flatten() {
-                for (&(lhs, rhs), &a) in group.constraints.iter().zip(&group.atoms) {
-                    solver.set_current_group(Some(a));
-                    solver.add(lhs, rhs);
-                }
-            }
-            solver.set_current_group(None);
+            feed(&mut solver, self.groups.iter().flatten().flat_map(LiveGroup::tagged));
             self.solver = solver;
             self.solver.solve();
             return;
@@ -559,13 +584,7 @@ impl Session {
     /// fixpoint. Work is proportional to the graph neighborhood of the
     /// retraction, not to the closure.
     fn repair(&mut self) {
-        for group in self.groups.iter().flatten() {
-            for (&(lhs, rhs), &a) in group.constraints.iter().zip(&group.atoms) {
-                self.solver.set_current_group(Some(a));
-                self.solver.add(lhs, rhs);
-            }
-        }
-        self.solver.set_current_group(None);
+        feed(&mut self.solver, self.groups.iter().flatten().flat_map(LiveGroup::tagged));
         self.solver.repair_refire();
         self.solver.solve();
     }
@@ -733,9 +752,7 @@ impl ConstraintBuilder for Session {
     fn add(&mut self, lhs: impl Into<SetExpr>, rhs: impl Into<SetExpr>) {
         let (lhs, rhs) = (lhs.into(), rhs.into());
         let group = LiveGroup::new(self.groups.len() as u32, vec![(lhs, rhs)]);
-        self.solver.set_current_group(Some(group.atoms[0]));
-        self.solver.add(lhs, rhs);
-        self.solver.set_current_group(None);
+        feed(&mut self.solver, group.tagged());
         self.groups.push(Some(group));
     }
 }

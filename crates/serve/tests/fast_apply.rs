@@ -231,6 +231,45 @@ fn collapse_invalidation_falls_back_to_replay() {
     assert_eq!(fast.recorder().unwrap().get(Counter::ServeFastRepaired), 2);
 }
 
+/// A non-monotone batch that retracts nothing — an edit that only adds
+/// constraints, plus a new group — feeds the live solver only the
+/// constraints it adds: served as a fast repair with zero retracted edges,
+/// and `constraints_added` grows by exactly the added count.
+#[test]
+fn add_only_edit_feeds_only_the_fresh_constraints() {
+    let mut s = SessionBuilder::new().apply_mode(ApplyMode::Fast).obs(true).build();
+    let c = s.register_nullary("c");
+    let d = s.register_nullary("d");
+    let (csrc, dsrc) = (s.term(c, vec![]), s.term(d, vec![]));
+    let (x, y, z, w) = (s.fresh_var(), s.fresh_var(), s.fresh_var(), s.fresh_var());
+    let g0: Vec<(SetExpr, SetExpr)> = vec![(csrc.into(), x.into()), (x.into(), y.into())];
+    let mut delta = Delta::new();
+    delta.add_group(g0.clone());
+    delta.add_group(vec![(y.into(), z.into())]);
+    s.apply(delta);
+    let before = s.stats().constraints_added;
+
+    // Two constraints join group 0 (one closes an x → y → z cycle), and a
+    // one-constraint group arrives in the same batch.
+    let mut grown = g0;
+    grown.push((dsrc.into(), x.into()));
+    grown.push((z.into(), x.into()));
+    let mut e = Delta::new();
+    e.edit_group(GroupId::new(0), grown);
+    e.add_group(vec![(z.into(), w.into())]);
+    let report = s.apply(e);
+    assert!(!report.monotone, "an edit is non-monotone");
+    assert!(report.fast_repaired, "nothing retracted: repaired in place");
+    assert!(!report.outcome.fell_back);
+    assert_eq!(s.stats().constraints_added, before + 3, "only the fresh constraints are fed");
+    let rec = s.recorder().expect("obs gated on");
+    assert_eq!(rec.get(Counter::ServeFastRepaired), 1);
+    assert_eq!(rec.get(Counter::ServeFastRetractedEdges), 0);
+    for v in [x, y, z, w] {
+        assert_eq!(s.points_to(v), &[csrc, dsrc], "{v:?}");
+    }
+}
+
 /// `Session::live_constraints` tracks the live group contents — the load
 /// measure behind the `fleet.balance.*` gauges.
 #[test]
@@ -250,4 +289,45 @@ fn live_constraints_track_group_liveness() {
     e.edit_group(GroupId::new(1), vec![(src.into(), y.into()), (src.into(), x.into())]);
     s.apply(e);
     assert_eq!(s.live_constraints(), 2);
+}
+
+/// The fast-repair/replay decision of every commit of 24 seeded
+/// single-constraint edit-and-undo transactions on povray-2.2 at scale 0.1
+/// in 75 groups, the `serve-edit` benchmark's system (`R` = repaired in
+/// place, `P` = replayed). Provenance bookkeeping may change how and when
+/// sets are interned, never which atoms a fact carries, so the decisions
+/// are pinned exactly. (At scale 0.05 every edit replays: the collapse
+/// justifications saturate, so that system would pin only one branch.)
+const EDIT_UNDO_PATHS: &str = "RRRRPRPRRRRRPRPRRRRRRRPRPRPRRRPRPRPRPRRRRRRRPRPR";
+
+#[test]
+fn edit_undo_decisions_are_pinned() {
+    use bane_util::rng::SplitMix64;
+    let entry = bane_synth::suite::PAPER_SUITE
+        .iter()
+        .find(|e| e.name == "povray-2.2")
+        .expect("povray-2.2 in the paper suite");
+    let program = bane_synth::suite::suite_program(entry, 0.1);
+    let mut problem = Problem::new(SolverConfig::if_online());
+    bane_points_to::andersen::generate(&program, &mut problem);
+    let mut s = SessionBuilder::new().apply_mode(ApplyMode::Fast).build_grouped(problem, 75);
+    let mut rng = SplitMix64::new(0xed17);
+    let mut paths = String::new();
+    let mut commit = |s: &mut Session, g: GroupId, cs: Vec<(SetExpr, SetExpr)>| {
+        let mut d = Delta::new();
+        d.edit_group(g, cs);
+        let report = s.apply(d);
+        assert!(!report.monotone);
+        paths.push(if report.fast_repaired { 'R' } else { 'P' });
+    };
+    for _ in 0..24 {
+        let g = GroupId::new(rng.next_below(s.group_slots() as u64) as u32);
+        let original = s.group(g).expect("groups stay live").to_vec();
+        let skip = rng.next_below(original.len() as u64) as usize;
+        let mut edited = original.clone();
+        edited.remove(skip);
+        commit(&mut s, g, edited);
+        commit(&mut s, g, original);
+    }
+    assert_eq!(paths, EDIT_UNDO_PATHS);
 }
