@@ -58,25 +58,11 @@
 //! remain in force. `bane-bench/5` added the `epoch.resets` and `csr.build`
 //! unified counters to the observed runs' `obs` reports.
 //!
-//! `bane-bench/6` adds the **solution-set backend** axis:
-//!
-//! - `--solset <sorted-span|bitmap|hybrid>` selects the backend used by the
-//!   six timed configurations' least-solution passes (header field
-//!   `solset`). Backends are byte-identical by contract, so every stable
-//!   field must match across `--solset` values — only `ls_ns`/`wall_ns`
-//!   may move.
-//! - each experiment row gains `redundant_ratio` — `redundant / work`, the
-//!   fraction of edge-addition attempts that were redundant (the quantity
-//!   online cycle elimination attacks; derived, so the stable-field
-//!   contract is unchanged).
-//! - a `solset` section measures the largest selected benchmark under every
-//!   backend × difference-propagation mode: a cold least pass over a ~99.5%
-//!   constraint prefix, then the pass after feeding the held-back tail —
-//!   with the `ls.delta.in`/`ls.delta.fresh` traffic, payload
-//!   bytes-per-variable, and a per-row byte-identity check
-//!   (`matches_reference`, must always read `true`).
-//!
-//! Every field that existed in `bane-bench/5` is emitted byte-identically.
+//! `bane-bench/6` added the `redundant_ratio` column to every experiment
+//! row — `redundant / work`, the fraction of edge-addition attempts that
+//! were redundant (the quantity online cycle elimination attacks; derived,
+//! so the stable-field contract is unchanged) — and a solution-set backend
+//! axis, removed again in `bane-bench/12`.
 //!
 //! `bane-bench/7` adds the **snapshot serving** table (`snap_queries`): the
 //! largest selected benchmark is solved once, written to a `bane-snap`
@@ -147,17 +133,21 @@
 //! remaining field is emitted byte-identically; the `experiments` rows do
 //! not change.
 //!
+//! `bane-bench/12` removes what measured the deleted solution-set
+//! backends and difference propagation: the `solset` header field and the
+//! `solset_scaling` section. Every remaining field is emitted
+//! byte-identically; the `experiments` rows do not change.
+//!
 //! The JSON is hand-rolled (the build environment has no serde); the format
 //! is plain nested objects with no NaNs and no trailing commas, so any JSON
 //! parser can read it.
 
 use bane_bench::cli::Options;
 use bane_bench::experiment::{
-    analyze_bench, run_fleet, run_incremental, run_observed, run_one_with, run_par_scaling,
-    run_snap_queries, run_solset_scaling, ExperimentKind, FleetScaling, IncrementalScaling,
-    Measurement, ParScaling, SnapScaling, SolSetScaling,
+    analyze_bench, run_fleet, run_incremental, run_observed, run_one, run_par_scaling,
+    run_snap_queries, ExperimentKind, FleetScaling, IncrementalScaling, Measurement, ParScaling,
+    SnapScaling,
 };
-use bane_core::solset::SolSetKind;
 use bane_obs::RunReport;
 use std::fmt::Write as _;
 use std::time::SystemTime;
@@ -200,8 +190,7 @@ fn main() {
             },
             "--help" | "-h" => die(
                 "options: --scale <f> --max-ast <n> --reps <n> --limit <n> \
-                 --only <substr> --threads <n> \
-                 --solset <sorted-span|bitmap|hybrid> --fast \
+                 --only <substr> --threads <n> --fast \
                  --out <path> --label <s> --report <path>",
             ),
             _ => rest.push(arg),
@@ -225,15 +214,8 @@ fn main() {
     let mut benchmarks = String::new();
     for (i, (entry, program)) in selected.iter().enumerate() {
         let (info, partition, mut if_online) = analyze_bench(entry.name, program);
-        if opts.reps > 1 || opts.solset != SolSetKind::SortedSpan {
-            if_online = run_one_with(
-                program,
-                ExperimentKind::IfOnline,
-                None,
-                u64::MAX,
-                opts.reps,
-                opts.solset,
-            );
+        if opts.reps > 1 {
+            if_online = run_one(program, ExperimentKind::IfOnline, None, u64::MAX, opts.reps);
         }
         let mut experiments = String::new();
         for (j, kind) in ExperimentKind::ALL.into_iter().enumerate() {
@@ -241,7 +223,7 @@ fn main() {
                 if_online
             } else {
                 let limit = if kind.is_plain() { opts.limit } else { u64::MAX };
-                run_one_with(program, kind, Some(&partition), limit, opts.reps, opts.solset)
+                run_one(program, kind, Some(&partition), limit, opts.reps)
             };
             if j > 0 {
                 experiments.push(',');
@@ -308,32 +290,6 @@ fn main() {
                 );
             }
             par_scaling_json(entry.name, &scaling)
-        }
-        None => "null".to_string(),
-    };
-
-    // The solution-set backend table: the same largest benchmark, every
-    // backend × diff mode, with per-row byte-identity checks.
-    let solset_json = match largest {
-        Some((entry, program)) => {
-            eprintln!("bench_json: solset backends on {}", entry.name);
-            let scaling = run_solset_scaling(program, opts.reps);
-            for row in &scaling.rows {
-                eprintln!(
-                    "  solset {:<21} {:<11} diff={:<5} cold={:>12}ns incr={:>12}ns \
-                     in={:<10} fresh={:<8} bytes/var={:<10.1} identical={}",
-                    entry.name,
-                    row.backend.name(),
-                    row.diff,
-                    row.ls_cold_ns,
-                    row.ls_incr_ns,
-                    row.delta_in,
-                    row.delta_fresh,
-                    row.bytes_per_var,
-                    row.matches_reference,
-                );
-            }
-            solset_scaling_json(entry.name, &scaling)
         }
         None => "null".to_string(),
     };
@@ -439,12 +395,12 @@ fn main() {
         .unwrap_or(0);
     let logical_cpus = bane_par::available_threads();
     let json = format!(
-        "{{\n  \"schema\": \"bane-bench/11\",\n  \"label\": {},\n  \
+        "{{\n  \"schema\": \"bane-bench/12\",\n  \"label\": {},\n  \
          \"created_unix\": {},\n  \"scale\": {},\n  \"max_ast\": {},\n  \
          \"reps\": {},\n  \"limit\": {},\n  \"threads\": {},\n  \
-         \"solset\": {},\n  \"git_revision\": {},\n  \
+         \"git_revision\": {},\n  \
          \"logical_cpus\": {},\n  \"single_cpu\": {},\n  \
-         \"par_ls\": {},\n  \"solset_scaling\": {},\n  \
+         \"par_ls\": {},\n  \
          \"snap_queries\": {},\n  \"incremental\": {},\n  \"fleet\": {},\n  \
          \"benchmarks\": [{}\n  ]\n}}\n",
         json_string(&label),
@@ -454,12 +410,10 @@ fn main() {
         opts.reps,
         opts.limit,
         opts.threads,
-        json_string(opts.solset.name()),
         json_string(&git_revision()),
         logical_cpus,
         logical_cpus == 1,
         par_ls_json,
-        solset_json,
         snap_json,
         incremental_json,
         fleet_json,
@@ -521,40 +475,6 @@ fn par_scaling_json(benchmark: &str, scaling: &ParScaling) -> String {
     format!(
         "{{\"benchmark\": {}, \"seq_ls_ns\": {}, \"rows\": [{}\n    ]}}",
         json_string(benchmark),
-        scaling.seq_ls_ns,
-        rows,
-    )
-}
-
-/// The `solset_scaling` section: one row per backend × diff mode with the
-/// delta traffic under its unified-counter names.
-fn solset_scaling_json(benchmark: &str, scaling: &SolSetScaling) -> String {
-    let mut rows = String::new();
-    for (i, row) in scaling.rows.iter().enumerate() {
-        if i > 0 {
-            rows.push(',');
-        }
-        let _ = write!(
-            rows,
-            "\n      {{\"backend\": {}, \"diff\": {}, \"ls_cold_ns\": {}, \
-             \"ls_incr_ns\": {}, \"ls.delta.in\": {}, \"ls.delta.fresh\": {}, \
-             \"bytes_per_var\": {}, \"matches_reference\": {}}}",
-            json_string(row.backend.name()),
-            row.diff,
-            row.ls_cold_ns,
-            row.ls_incr_ns,
-            row.delta_in,
-            row.delta_fresh,
-            json_f64(row.bytes_per_var),
-            row.matches_reference,
-        );
-    }
-    format!(
-        "{{\"benchmark\": {}, \"constraints_total\": {}, \"constraints_tail\": {}, \
-         \"seq_ls_ns\": {}, \"rows\": [{}\n    ]}}",
-        json_string(benchmark),
-        scaling.constraints_total,
-        scaling.constraints_tail,
         scaling.seq_ls_ns,
         rows,
     )

@@ -1,7 +1,5 @@
 //! Minimal command-line options shared by the table/figure binaries.
 
-use bane_core::solset::SolSetKind;
-
 /// Options accepted by every experiment binary.
 #[derive(Clone, Debug)]
 pub struct Options {
@@ -18,9 +16,6 @@ pub struct Options {
     /// Worker threads for `bane-par`'s least-solution pass and query pool
     /// (1 = sequential paths).
     pub threads: usize,
-    /// Solution-set backend for the least-solution passes (every backend is
-    /// byte-identical; the axis exists to compare their cost profiles).
-    pub solset: SolSetKind,
 }
 
 impl Options {
@@ -35,15 +30,13 @@ impl Options {
             limit: 200_000_000,
             only: None,
             threads: 1,
-            solset: SolSetKind::SortedSpan,
         }
     }
 
     /// Parses `args` (without the program name) over the given defaults.
     ///
     /// Recognized flags: `--scale <f>`, `--max-ast <n>`, `--reps <n>`,
-    /// `--limit <n>`, `--only <substring>`, `--threads <n>`,
-    /// `--solset <sorted-span|bitmap|hybrid>`, `--fast`.
+    /// `--limit <n>`, `--only <substring>`, `--threads <n>`, `--fast`.
     ///
     /// # Errors
     ///
@@ -83,15 +76,6 @@ impl Options {
                         .parse()
                         .map_err(|e| format!("--threads: {e}"))?;
                 }
-                "--solset" => {
-                    let name = value("--solset")?;
-                    self.solset = SolSetKind::by_name(&name).ok_or_else(|| {
-                        format!(
-                            "--solset: unknown backend `{name}` \
-                             (expected sorted-span, bitmap, or hybrid)"
-                        )
-                    })?;
-                }
                 "--fast" => {
                     self.scale = (self.scale * 0.5).min(0.1);
                     self.max_ast = self.max_ast.min(60_000);
@@ -99,8 +83,7 @@ impl Options {
                 "--help" | "-h" => {
                     return Err(
                         "options: --scale <f> --max-ast <n> --reps <n> --limit <n> \
-                         --only <substr> --threads <n> \
-                         --solset <sorted-span|bitmap|hybrid> --fast"
+                         --only <substr> --threads <n> --fast"
                             .to_string(),
                     )
                 }
@@ -153,7 +136,7 @@ mod tests {
         let o = Options::defaults(false)
             .parse(args(
                 "--scale 0.5 --max-ast 9000 --reps 3 --limit 1000 --only flex \
-                 --threads 4 --solset bitmap",
+                 --threads 4",
             ))
             .unwrap();
         assert_eq!(o.scale, 0.5);
@@ -162,20 +145,6 @@ mod tests {
         assert_eq!(o.limit, 1000);
         assert_eq!(o.only.as_deref(), Some("flex"));
         assert_eq!(o.threads, 4);
-        assert_eq!(o.solset, SolSetKind::Bitmap);
-    }
-
-    #[test]
-    fn solset_accepts_every_backend_name_and_defaults_to_sorted_span() {
-        assert_eq!(Options::defaults(false).solset, SolSetKind::SortedSpan);
-        for kind in SolSetKind::ALL {
-            let o = Options::defaults(false)
-                .parse(args(&format!("--solset {}", kind.name())))
-                .unwrap();
-            assert_eq!(o.solset, kind);
-        }
-        assert!(Options::defaults(false).parse(args("--solset wat")).is_err());
-        assert!(Options::defaults(false).parse(args("--solset")).is_err());
     }
 
     #[test]
@@ -193,6 +162,7 @@ mod tests {
         assert!(Options::defaults(false).parse(args("--threads 0")).is_err());
         assert!(Options::defaults(false).parse(args("--threads x")).is_err());
         assert!(Options::defaults(false).parse(args("--batch-rounds 8")).is_err());
+        assert!(Options::defaults(false).parse(args("--solset bitmap")).is_err());
     }
 
     #[test]

@@ -152,33 +152,12 @@ pub fn run_one(
     limit: u64,
     reps: usize,
 ) -> Measurement {
-    run_one_with(program, kind, partition, limit, reps, SolSetKind::SortedSpan)
-}
-
-/// [`run_one`] under an explicit solution-set backend (the `--solset` axis).
-///
-/// The backend changes how the least-solution pass computes its sets, never
-/// what they contain, so every stable field of the returned [`Measurement`]
-/// is identical across backends — only `ls_time` (and hence `time`) may
-/// move.
-///
-/// # Panics
-///
-/// Panics if an oracle experiment is requested without a partition.
-pub fn run_one_with(
-    program: &Program,
-    kind: ExperimentKind,
-    partition: Option<&Partition>,
-    limit: u64,
-    reps: usize,
-    solset: SolSetKind,
-) -> Measurement {
     assert!(
         !kind.uses_oracle() || partition.is_some(),
         "{} needs an oracle partition",
         kind.name()
     );
-    let config = kind.config().with_solset(solset);
+    let config = kind.config();
     let mut best: Option<Measurement> = None;
     for _ in 0..reps.max(1) {
         let mut solver = if kind.uses_oracle() {
@@ -246,32 +225,12 @@ pub fn run_observed(
     limit: u64,
     label: &str,
 ) -> (Measurement, RunReport) {
-    run_observed_with(program, kind, partition, limit, label, SolSetKind::SortedSpan)
-}
-
-/// [`run_observed`] under an explicit solution-set backend.
-///
-/// Non-default backends additionally surface the `ls.delta.*` and `solset.*`
-/// unified counters in the returned report (the default rides the legacy
-/// sorted-span pass, which has no delta machinery to count).
-///
-/// # Panics
-///
-/// Panics if an oracle experiment is requested without a partition.
-pub fn run_observed_with(
-    program: &Program,
-    kind: ExperimentKind,
-    partition: Option<&Partition>,
-    limit: u64,
-    label: &str,
-    solset: SolSetKind,
-) -> (Measurement, RunReport) {
     assert!(
         !kind.uses_oracle() || partition.is_some(),
         "{} needs an oracle partition",
         kind.name()
     );
-    let config = kind.config().with_solset(solset);
+    let config = kind.config();
     let mut solver = if kind.uses_oracle() {
         Solver::with_oracle(config, partition.expect("checked above").clone())
     } else {
@@ -461,148 +420,6 @@ pub fn run_par_scaling(program: &Program, thread_counts: &[usize], reps: usize) 
         })
         .collect();
     ParScaling { seq_ls_ns, rows }
-}
-
-/// One backend × diff-mode row of the solution-set backend table.
-#[derive(Clone, Copy, Debug)]
-pub struct SolSetRow {
-    /// The solution-set backend under measurement.
-    pub backend: SolSetKind,
-    /// Whether difference propagation was enabled for the least passes.
-    pub diff: bool,
-    /// Cold least-solution pass over the prefix system (best of reps).
-    pub ls_cold_ns: u128,
-    /// Least-solution pass after feeding the constraint tail and re-solving
-    /// (best of reps). With `diff`, this is the incremental pass — only
-    /// deltas travel; without, a full re-evaluation.
-    pub ls_incr_ns: u128,
-    /// Elements fed into the incremental pass's merges (`ls.delta.in`;
-    /// 0 when `diff` is off — the full pass has no delta accounting).
-    pub delta_in: u64,
-    /// Fresh elements the incremental pass actually added (`ls.delta.fresh`).
-    pub delta_fresh: u64,
-    /// Solution-set payload bytes per set variable on the grown system
-    /// (`solset.bytes` for the block backends, arena bytes for sorted-span).
-    pub bytes_per_var: f64,
-    /// Whether both passes were byte-identical to the default sorted-span
-    /// reference (the backend contract; must always be `true`).
-    pub matches_reference: bool,
-}
-
-/// Solution-set backend measurements for one benchmark.
-#[derive(Clone, Debug)]
-pub struct SolSetScaling {
-    /// Constraints in the full system.
-    pub constraints_total: usize,
-    /// Constraints held back for the incremental (grown) pass.
-    pub constraints_tail: usize,
-    /// Sequential default-backend `least_solution` time on the grown system
-    /// (best of reps) — the baseline the rows compare against.
-    pub seq_ls_ns: u128,
-    /// One row per backend × diff mode.
-    pub rows: Vec<SolSetRow>,
-}
-
-/// Runs the solution-set backend experiment on `program`: every
-/// [`SolSetKind`] with difference propagation off and on, timed on a cold
-/// least-solution pass over a ~99.5% constraint prefix and on the pass after
-/// feeding the held-back 0.5% tail — the small-growth incremental workload
-/// difference propagation exists for. Every pass is checked byte-identical
-/// against the default sorted-span reference.
-pub fn run_solset_scaling(program: &Program, reps: usize) -> SolSetScaling {
-    use bane_par::ParLeast;
-
-    let reps = reps.max(1);
-    let mut problem = Problem::new(SolverConfig::if_online());
-    andersen::generate(program, &mut problem);
-    let constraints_total = problem.constraints().len();
-    let tail_len = if constraints_total == 0 { 0 } else { (constraints_total / 200).max(1) };
-    let tail = problem.split_off_constraints(constraints_total - tail_len);
-
-    // Default-backend references: the prefix solution, then the grown one.
-    let mut reference = Solver::from_problem(problem.clone());
-    reference.solve();
-    let ls_prefix = reference.least_solution();
-    for (lhs, rhs) in tail.iter().cloned() {
-        reference.add(lhs, rhs);
-    }
-    reference.solve();
-    let mut seq_ls_ns = u128::MAX;
-    let mut ls_full = None;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let ls = reference.least_solution();
-        seq_ls_ns = seq_ls_ns.min(start.elapsed().as_nanos());
-        ls_full = Some(ls);
-    }
-    let ls_full = ls_full.expect("reps >= 1");
-    let set_vars = reference.vars_created().max(1);
-
-    let mut rows = Vec::new();
-    for backend in SolSetKind::ALL {
-        // Payload bytes on the grown system, measured once per backend via
-        // the sequential kernel's `solset.bytes` counter (the sorted-span
-        // reference has no block machinery — its payload is the arena).
-        let bytes = if backend == SolSetKind::SortedSpan {
-            (ls_full.total_entries() * std::mem::size_of::<TermId>()) as u64
-        } else {
-            let mut p = problem.clone();
-            p.set_solset(backend);
-            let mut s = Solver::from_problem(p);
-            s.enable_obs();
-            s.solve();
-            for (lhs, rhs) in tail.iter().cloned() {
-                s.add(lhs, rhs);
-            }
-            s.solve();
-            let _ = s.least_solution();
-            let report = s.run_report("solset").expect("recording enabled above");
-            report.counter("solset.bytes").unwrap_or(0)
-        };
-        let bytes_per_var = bytes as f64 / set_vars as f64;
-
-        for diff in [false, true] {
-            // One warmed evaluator per rep: cold passes race on the prefix
-            // system, then each evaluator re-runs once on the grown system
-            // (so the diff rows time a true incremental pass, not a repeat).
-            let mut solver = Solver::from_problem(problem.clone());
-            solver.solve();
-            let mut evaluators: Vec<ParLeast> = (0..reps).map(|_| ParLeast::new()).collect();
-            let mut ls_cold_ns = u128::MAX;
-            let mut matches = true;
-            for par in &mut evaluators {
-                let start = Instant::now();
-                par.run_with(&solver.least_parts(), 1, backend, diff, None);
-                ls_cold_ns = ls_cold_ns.min(start.elapsed().as_nanos());
-                matches &= par.solution() == ls_prefix;
-            }
-            for (lhs, rhs) in tail.iter().cloned() {
-                solver.add(lhs, rhs);
-            }
-            solver.solve();
-            let rec = Recorder::new();
-            let mut ls_incr_ns = u128::MAX;
-            let mut first = true;
-            for par in &mut evaluators {
-                let start = Instant::now();
-                par.run_with(&solver.least_parts(), 1, backend, diff, first.then_some(&rec));
-                ls_incr_ns = ls_incr_ns.min(start.elapsed().as_nanos());
-                matches &= par.solution() == ls_full;
-                first = false;
-            }
-            rows.push(SolSetRow {
-                backend,
-                diff,
-                ls_cold_ns,
-                ls_incr_ns,
-                delta_in: rec.get(Counter::LsDeltaIn),
-                delta_fresh: rec.get(Counter::LsDeltaFresh),
-                bytes_per_var,
-                matches_reference: matches,
-            });
-        }
-    }
-    SolSetScaling { constraints_total, constraints_tail: tail_len, seq_ls_ns, rows }
 }
 
 /// A query workload mix for the snapshot-serving throughput table
@@ -1509,48 +1326,6 @@ mod tests {
         for row in &scaling.rows {
             assert!(row.ls_identical, "threads {}", row.threads);
             assert!(row.ls_ns > 0);
-        }
-    }
-
-    #[test]
-    fn solset_scaling_rows_cover_every_backend_and_match_reference() {
-        let program = sample_program();
-        let scaling = run_solset_scaling(&program, 1);
-        assert_eq!(scaling.rows.len(), SolSetKind::ALL.len() * 2);
-        assert!(scaling.constraints_total > 0);
-        assert!(scaling.constraints_tail > 0);
-        assert!(scaling.seq_ls_ns > 0);
-        for row in &scaling.rows {
-            assert!(
-                row.matches_reference,
-                "{} diff={} must be byte-identical",
-                row.backend.name(),
-                row.diff
-            );
-            assert!(row.ls_cold_ns > 0 && row.ls_incr_ns > 0);
-            assert!(row.bytes_per_var > 0.0, "{}", row.backend.name());
-            if !row.diff {
-                assert_eq!(row.delta_in, 0, "non-diff rows have no delta accounting");
-                assert_eq!(row.delta_fresh, 0);
-            }
-        }
-        // The diff rows' incremental pass hands fewer elements to the merge
-        // loop than the sets it would otherwise rebuild contain.
-        let diff_row = scaling.rows.iter().find(|r| r.diff).unwrap();
-        assert!(diff_row.delta_in < u64::MAX);
-    }
-
-    #[test]
-    fn run_one_with_backend_reports_identical_stable_fields() {
-        let program = sample_program();
-        let reference = run_one(&program, ExperimentKind::IfOnline, None, u64::MAX, 1);
-        for backend in [SolSetKind::Bitmap, SolSetKind::Hybrid] {
-            let m = run_one_with(&program, ExperimentKind::IfOnline, None, u64::MAX, 1, backend);
-            assert_eq!(m.work, reference.work, "{}", backend.name());
-            assert_eq!(m.edges, reference.edges, "{}", backend.name());
-            assert_eq!(m.peak_edges, reference.peak_edges, "{}", backend.name());
-            assert_eq!(m.live_vars, reference.live_vars, "{}", backend.name());
-            assert_eq!(m.vars_eliminated, reference.vars_eliminated, "{}", backend.name());
         }
     }
 

@@ -6,11 +6,21 @@
 //! `ret (*name)(…)`, arrays, the usual expression grammar with C precedence,
 //! casts, and `if`/`while`/`for`/`return` statements. Prototypes are parsed
 //! and discarded.
+//!
+//! Every place the grammar nests — a parenthesized or operand expression,
+//! an initializer list, a statement body — goes through one depth counter,
+//! so input nested deeper than [`MAX_NESTING`] is a [`ParseError`] instead
+//! of a stack overflow.
 
 use crate::ast::*;
 use crate::lex::{lex, LexError};
 use crate::token::{Spanned, Token};
 use std::fmt;
+
+/// How deeply expressions and statements may nest. Low enough that a
+/// debug build parses at this depth on a 2 MiB thread; no program in the
+/// synthetic suite comes close.
+pub const MAX_NESTING: usize = 96;
 
 /// A syntax error with its source line.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -54,15 +64,32 @@ impl From<LexError> for ParseError {
 /// ```
 pub fn parse(source: &str) -> Result<Program, ParseError> {
     let tokens = lex(source)?;
-    Parser { tokens, pos: 0 }.program()
+    Parser { tokens, pos: 0, depth: 0 }.program()
 }
 
 struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
+    /// Nesting levels currently open (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
+    /// Parses one nested construct with `f`, one level deeper, failing
+    /// instead of recursing past [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let result = f(self);
+        self.depth -= 1;
+        result
+    }
+
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos).map(|s| &s.token)
     }
@@ -309,7 +336,7 @@ impl Parser {
         match self.peek() {
             Some(Token::LBrace) => {
                 self.bump();
-                Ok(Stmt::Block(self.block_items()?))
+                Ok(Stmt::Block(self.nested(Self::block_items)?))
             }
             Some(Token::KwIf) => {
                 self.bump();
@@ -395,7 +422,7 @@ impl Parser {
                         Some(Token::KwCase) | Some(Token::KwDefault) | Some(Token::RBrace)
                             | None
                     ) {
-                        body.push(self.stmt()?);
+                        body.push(self.nested(Self::stmt)?);
                     }
                     cases.push(SwitchCase { value, body });
                 }
@@ -424,7 +451,7 @@ impl Parser {
             }
             Some(Token::KwStatic) | Some(Token::KwExtern) => {
                 self.bump();
-                self.stmt()
+                self.nested(Self::stmt)
             }
             Some(Token::KwReturn) => {
                 self.bump();
@@ -460,11 +487,13 @@ impl Parser {
     }
 
     fn stmt_as_block(&mut self) -> Result<Vec<Stmt>, ParseError> {
-        if self.eat(&Token::LBrace) {
-            self.block_items()
-        } else {
-            Ok(vec![self.stmt()?])
-        }
+        self.nested(|p| {
+            if p.eat(&Token::LBrace) {
+                p.block_items()
+            } else {
+                Ok(vec![p.stmt()?])
+            }
+        })
     }
 
     // ------------------------------------------------------------------
@@ -487,7 +516,7 @@ impl Parser {
             let mut items = Vec::new();
             if self.peek() != Some(&Token::RBrace) {
                 loop {
-                    items.push(self.initializer()?);
+                    items.push(self.nested(Self::initializer)?);
                     if !self.eat(&Token::Comma) {
                         break;
                     }
@@ -517,7 +546,7 @@ impl Parser {
             _ => return Ok(lhs),
         };
         self.bump();
-        let rhs = self.assign_expr()?;
+        let rhs = self.nested(Self::assign_expr)?;
         match compound {
             None => Ok(Expr::assign(lhs, rhs)),
             Some(op) => {
@@ -530,9 +559,9 @@ impl Parser {
     fn ternary_expr(&mut self) -> Result<Expr, ParseError> {
         let cond = self.binary_expr(0)?;
         if self.eat(&Token::Question) {
-            let then = self.expr()?;
+            let then = self.nested(Self::expr)?;
             self.expect(Token::Colon)?;
-            let els = self.assign_expr()?;
+            let els = self.nested(Self::assign_expr)?;
             Ok(Expr::Ternary(Box::new(cond), Box::new(then), Box::new(els)))
         } else {
             Ok(cond)
@@ -568,7 +597,7 @@ impl Parser {
                 break;
             }
             self.bump();
-            let rhs = self.binary_expr(prec + 1)?;
+            let rhs = self.nested(|p| p.binary_expr(prec + 1))?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
         Ok(lhs)
@@ -578,23 +607,23 @@ impl Parser {
         match self.peek() {
             Some(Token::Star) => {
                 self.bump();
-                Ok(Expr::deref(self.unary_expr()?))
+                Ok(Expr::deref(self.nested(Self::unary_expr)?))
             }
             Some(Token::Amp) => {
                 self.bump();
-                Ok(Expr::addr_of(self.unary_expr()?))
+                Ok(Expr::addr_of(self.nested(Self::unary_expr)?))
             }
             Some(Token::Minus) => {
                 self.bump();
-                Ok(Expr::Unary(UnOp::Neg, Box::new(self.unary_expr()?)))
+                Ok(Expr::Unary(UnOp::Neg, Box::new(self.nested(Self::unary_expr)?)))
             }
             Some(Token::Not) => {
                 self.bump();
-                Ok(Expr::Unary(UnOp::Not, Box::new(self.unary_expr()?)))
+                Ok(Expr::Unary(UnOp::Not, Box::new(self.nested(Self::unary_expr)?)))
             }
             Some(Token::Tilde) => {
                 self.bump();
-                Ok(Expr::Unary(UnOp::BitNot, Box::new(self.unary_expr()?)))
+                Ok(Expr::Unary(UnOp::BitNot, Box::new(self.nested(Self::unary_expr)?)))
             }
             Some(Token::PlusPlus) | Some(Token::MinusMinus) => {
                 let op = if self.bump() == Some(Token::PlusPlus) {
@@ -604,7 +633,7 @@ impl Parser {
                 };
                 // ++e desugars to e = e ± 1 (value semantics are irrelevant
                 // to the flow-insensitive analysis).
-                let e = self.unary_expr()?;
+                let e = self.nested(Self::unary_expr)?;
                 let stepped = Expr::Binary(op, Box::new(e.clone()), Box::new(Expr::Int(1)));
                 Ok(Expr::assign(e, stepped))
             }
@@ -623,7 +652,7 @@ impl Parser {
                     self.expect(Token::RParen)?;
                     Ok(Expr::Sizeof(Box::new(Expr::Int(0))))
                 } else {
-                    Ok(Expr::Sizeof(Box::new(self.unary_expr()?)))
+                    Ok(Expr::Sizeof(Box::new(self.nested(Self::unary_expr)?)))
                 }
             }
             Some(Token::LParen)
@@ -636,7 +665,7 @@ impl Parser {
                 self.bump();
                 let ty = self.type_name()?;
                 self.expect(Token::RParen)?;
-                Ok(Expr::Cast(ty, Box::new(self.unary_expr()?)))
+                Ok(Expr::Cast(ty, Box::new(self.nested(Self::unary_expr)?)))
             }
             _ => self.postfix_expr(),
         }
@@ -661,7 +690,7 @@ impl Parser {
                     let mut args = Vec::new();
                     if self.peek() != Some(&Token::RParen) {
                         loop {
-                            args.push(self.assign_expr()?);
+                            args.push(self.nested(Self::assign_expr)?);
                             if !self.eat(&Token::Comma) {
                                 break;
                             }
@@ -672,7 +701,7 @@ impl Parser {
                 }
                 Some(Token::LBracket) => {
                     self.bump();
-                    let idx = self.expr()?;
+                    let idx = self.nested(Self::expr)?;
                     self.expect(Token::RBracket)?;
                     e = Expr::Index(Box::new(e), Box::new(idx));
                 }
@@ -710,7 +739,7 @@ impl Parser {
             Some(Token::Str(s)) => Ok(Expr::Str(s)),
             Some(Token::KwNull) => Ok(Expr::Null),
             Some(Token::LParen) => {
-                let e = self.expr()?;
+                let e = self.nested(Self::expr)?;
                 self.expect(Token::RParen)?;
                 Ok(e)
             }

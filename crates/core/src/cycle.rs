@@ -234,8 +234,7 @@ impl<E: EpochStamp> ChainSearchImpl<E> {
 ///
 /// `bane-serve` records one per published solution and compares it with
 /// [`validates`](GraphRevision::validates) (nothing changed, reuse the
-/// retained least solution) and [`extends`](GraphRevision::extends) (only
-/// additions, so difference propagation may reuse it). Redundant insert
+/// retained least solution). Redundant insert
 /// attempts, source/sink inserts and eager compaction bump no counter: none
 /// of them changes the canonical edge set (see the [`graph`](crate::graph)
 /// module docs).
@@ -262,20 +261,6 @@ impl GraphRevision {
     /// solution without any recomputation at all.
     pub fn validates(self, now: GraphRevision) -> bool {
         self == now
-    }
-
-    /// Whether `now` is a **monotone extension** of `self`: every revision
-    /// counter is non-decreasing. All three counters only ever count up
-    /// inside one solver (edge-insert bumps and collapse totals never
-    /// rewind), so this holds exactly when `now` was produced by feeding
-    /// *additional* constraints into the same live solver that produced
-    /// `self` — the condition under which previously solved sets remain
-    /// valid lower bounds and the difference-propagating least-solution
-    /// kernels may reuse them. A fresh solver (replay after a non-monotone
-    /// `Delta`) generally fails this check, which is what forces the
-    /// revalidating per-level recompute path instead.
-    pub fn extends(self, now: GraphRevision) -> bool {
-        self.pred <= now.pred && self.succ <= now.succ && self.collapses <= now.collapses
     }
 }
 

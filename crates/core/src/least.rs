@@ -224,8 +224,8 @@ impl CsrSnapshot {
     /// Replaces `self`'s contents with a copy of `other`, reusing every
     /// buffer (a `clone_from` that actually reuses capacity — the derived
     /// `Clone` does not override `clone_from`, so it would reallocate).
-    /// Used by the difference-propagating kernels to retain the previous
-    /// pass's rows without per-pass allocation once warm.
+    /// Used by `bane-par`'s evaluator to retain the previous pass's rows
+    /// as its revalidation baseline without per-pass allocation once warm.
     pub fn copy_from(&mut self, other: &CsrSnapshot) {
         self.var_rows.clone_from(&other.var_rows);
         self.cols.clone_from(&other.cols);
@@ -245,9 +245,9 @@ impl CsrSnapshot {
 
     /// Number of row slots (one per raw variable index covered by the last
     /// [`build`](CsrSnapshot::build)). Callers comparing rows across two
-    /// snapshots — the difference-propagating and revalidating kernels in
-    /// `bane-par` — must bounds-check against this before indexing a
-    /// variable that may not exist in the older snapshot.
+    /// snapshots — the revalidating kernel in `bane-par` — must
+    /// bounds-check against this before indexing a variable that may not
+    /// exist in the older snapshot.
     pub fn rows(&self) -> usize {
         self.var_rows.len()
     }
@@ -504,17 +504,7 @@ impl Solver {
     /// Either way the pass traverses a [`CsrSnapshot`] frozen from the
     /// solved graph (canonicalized once, not per read). Call after
     /// [`solve`](Solver::solve).
-    ///
-    /// With a non-default [`SolverConfig::solset`] backend the pass runs
-    /// through the retained difference-propagating
-    /// [`LsKernel`](crate::solset::LsKernel) instead — producing the same
-    /// bytes, but re-merging only what changed since the previous call.
-    ///
-    /// [`SolverConfig::solset`]: crate::solver::SolverConfig::solset
     pub fn least_solution(&mut self) -> LeastSolution {
-        if self.config().solset != crate::solset::SolSetKind::SortedSpan {
-            return self.least_solution_backend();
-        }
         #[cfg(feature = "obs")]
         if let Some(rec) = self.obs() {
             rec.start(bane_obs::Phase::LeastSolution);
@@ -674,49 +664,6 @@ impl Solver {
             let set_vars = result.spans.iter().filter(|(s, e)| e > s).count();
             rec.set(bane_obs::Counter::LsSetVars, set_vars as u64);
             rec.set(bane_obs::Counter::LsEntries, result.total_entries() as u64);
-            rec.stop(bane_obs::Phase::LeastSolution);
-        }
-        result
-    }
-
-    /// The non-default-backend least-solution path: evaluate through the
-    /// retained [`KernelHolder`](crate::solset::KernelHolder), difference
-    /// propagation on. A stale kernel (backend switched mid-run) is simply
-    /// replaced — the kernel cold-starts with a full pass.
-    fn least_solution_backend(&mut self) -> LeastSolution {
-        use crate::solset::KernelHolder;
-        let kind = self.config().solset;
-        #[cfg(feature = "obs")]
-        if let Some(rec) = self.obs() {
-            rec.start(bane_obs::Phase::LeastSolution);
-        }
-        let mut csr = std::mem::take(self.csr_snapshot_mut());
-        let mut holder = match self.ls_kernel_slot().take() {
-            Some(holder) if holder.kind() == kind => holder,
-            _ => Box::new(KernelHolder::for_kind(kind)),
-        };
-        let (result, _pass, _sets) = {
-            let parts = self.least_parts();
-            holder.evaluate(&parts, &mut csr, true)
-        };
-        *self.csr_snapshot_mut() = csr;
-        *self.ls_kernel_slot() = Some(holder);
-        #[cfg(feature = "obs")]
-        if let Some(rec) = self.obs() {
-            rec.add(bane_obs::Counter::CsrBuilds, 1);
-            let set_vars = result.spans.iter().filter(|(s, e)| e > s).count();
-            rec.set(bane_obs::Counter::LsSetVars, set_vars as u64);
-            rec.set(bane_obs::Counter::LsEntries, result.total_entries() as u64);
-            // Difference-propagation accounting accumulates across passes;
-            // storage statistics reflect the latest backend state.
-            rec.add(bane_obs::Counter::LsDeltaFull, _pass.full);
-            rec.add(bane_obs::Counter::LsDeltaIncr, _pass.incr);
-            rec.add(bane_obs::Counter::LsDeltaIn, _pass.elems_in);
-            rec.add(bane_obs::Counter::LsDeltaFresh, _pass.elems_fresh);
-            rec.set(bane_obs::Counter::SolsetBlocks, _sets.blocks as u64);
-            rec.set(bane_obs::Counter::SolsetBlocksShared, _sets.share_hits);
-            rec.set(bane_obs::Counter::SolsetPromotions, _sets.promotions);
-            rec.set(bane_obs::Counter::SolsetBytes, _sets.bytes as u64);
             rec.stop(bane_obs::Phase::LeastSolution);
         }
         result

@@ -91,7 +91,6 @@ pub mod order;
 pub mod problem;
 pub mod prov;
 pub mod scc;
-pub mod solset;
 pub mod solver;
 pub mod stats;
 
@@ -104,7 +103,6 @@ pub mod prelude {
     pub use crate::oracle::Partition;
     pub use crate::order::OrderPolicy;
     pub use crate::problem::{ConstraintBuilder, Problem};
-    pub use crate::solset::SolSetKind;
     pub use crate::solver::{CycleElim, Form, Solver, SolverConfig};
     pub use crate::stats::Stats;
 }

@@ -139,24 +139,12 @@ impl Problem {
         self.zero_term
     }
 
-    /// Replaces the solution-set backend in the recorded configuration.
-    ///
-    /// Solvers constructed from this problem evaluate their least solution
-    /// through the selected backend (see
-    /// [`SolverConfig::solset`](crate::solver::SolverConfig::solset)); the
-    /// recorded constraints are untouched, so the same recording can be
-    /// re-dressed per backend for comparative runs.
-    pub fn set_solset(&mut self, solset: crate::solset::SolSetKind) {
-        self.config.solset = solset;
-    }
-
     /// Splits off and returns the constraints from `at` onward, keeping the
     /// prefix recorded.
     ///
-    /// This is the staged-feeding primitive for incremental experiments:
-    /// replay the prefix into a solver, solve, then feed the returned tail
-    /// through `add` and re-solve — exercising repeated least-solution
-    /// passes over a grown system (the difference-propagation workload).
+    /// `bane-serve` sessions take the whole list (`at == 0`) to regroup a
+    /// recorded problem into constraint groups, and the incremental bench
+    /// does the same to rebuild its from-scratch reference.
     ///
     /// # Panics
     ///

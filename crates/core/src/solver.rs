@@ -47,7 +47,6 @@ use crate::order::{OrderPolicy, VarOrder};
 use crate::problem::{ConstraintBuilder, Problem};
 use crate::prov::{ProvId, ProvTable};
 use crate::scc::{tarjan, SccStats};
-use crate::solset::SolSetKind;
 use crate::stats::Stats;
 use bane_util::FxHashSet;
 use std::collections::VecDeque;
@@ -106,13 +105,6 @@ pub struct SolverConfig {
     /// oracle partition afterwards (small overhead; off by default except in
     /// the `if_online` preset which feeds the oracle runs).
     pub log_varvar: bool,
-    /// Solution-set backend for the least-solution pass (DESIGN.md §4f).
-    ///
-    /// The default, [`SolSetKind::SortedSpan`], runs the legacy
-    /// byte-identical arena pass; the other backends route
-    /// [`Solver::least_solution`] through the difference-propagating
-    /// [`LsKernel`](crate::solset::LsKernel) retained on the solver.
-    pub solset: SolSetKind,
 }
 
 impl SolverConfig {
@@ -124,7 +116,6 @@ impl SolverConfig {
             sf_chain: SfSearchPolicy::Decreasing,
             order: OrderPolicy::default(),
             log_varvar: false,
-            solset: SolSetKind::SortedSpan,
         }
     }
 
@@ -166,12 +157,6 @@ impl SolverConfig {
     /// Replaces the SF chain-search policy.
     pub fn with_sf_chain(mut self, policy: SfSearchPolicy) -> Self {
         self.sf_chain = policy;
-        self
-    }
-
-    /// Replaces the solution-set backend.
-    pub fn with_solset(mut self, solset: SolSetKind) -> Self {
-        self.solset = solset;
         self
     }
 }
@@ -294,13 +279,6 @@ pub struct Solver {
     /// Frozen CSR view of the solved graph, rebuilt by each least-solution
     /// pass; kept on the solver so repeated passes reuse its buffers.
     csr: crate::least::CsrSnapshot,
-    /// The retained least-solution kernel for non-default solution-set
-    /// backends (`None` until the first backend pass; always `None` under
-    /// the default `SolSetKind::SortedSpan`, which runs the legacy pass).
-    /// Keeping it across passes is what makes difference propagation work:
-    /// the kernel holds every variable's stable set plus the previous
-    /// pass's row snapshot.
-    ls_kernel: Option<Box<crate::solset::KernelHolder>>,
     stats: Stats,
     errors: Vec<Inconsistency>,
     one_term: TermId,
@@ -397,7 +375,6 @@ impl Solver {
             members_buf: Vec::new(),
             cycle_sweep: CycleSweep::default(),
             csr: crate::least::CsrSnapshot::new(),
-            ls_kernel: None,
             stats: Stats::default(),
             errors: Vec::new(),
             one_term,
@@ -1522,10 +1499,9 @@ impl Solver {
     /// solved graph — the validation token `bane-serve` records after each
     /// solve and checks across `Delta` applications (see
     /// `docs/INCREMENTAL.md`): [`validates`] means the solved state is
-    /// exactly current; [`extends`] means it remains a monotone lower bound.
+    /// exactly current.
     ///
     /// [`validates`]: crate::cycle::GraphRevision::validates
-    /// [`extends`]: crate::cycle::GraphRevision::extends
     pub fn graph_revision(&self) -> crate::cycle::GraphRevision {
         crate::cycle::GraphRevision::of(&self.graph, &self.fwd)
     }
@@ -1546,12 +1522,6 @@ impl Solver {
     /// out with `mem::take` (borrow splitting against `least_parts`).
     pub(crate) fn csr_snapshot_mut(&mut self) -> &mut crate::least::CsrSnapshot {
         &mut self.csr
-    }
-
-    /// The retained least-solution kernel slot for non-default solution-set
-    /// backends (loaned out the same way as the CSR snapshot).
-    pub(crate) fn ls_kernel_slot(&mut self) -> &mut Option<Box<crate::solset::KernelHolder>> {
-        &mut self.ls_kernel
     }
 
     /// Number of variable nodes ever created (including collapsed ones).

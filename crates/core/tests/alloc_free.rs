@@ -145,23 +145,24 @@ fn steady_state_resolution_does_not_allocate() {
         "parallel least pass must stay byte-identical to the sequential one"
     );
 
-    // Difference propagation holds the same bar: over an unchanged system a
-    // warmed diff run finds every delta empty, touches no spans, and must
-    // not allocate (one warm-up run first to grow the incremental scratch —
-    // the source-delta, input-run, and contribution buffers).
-    par.run_with(&solver.least_parts(), 1, SolSetKind::SortedSpan, true, None);
+    // Revalidation — the serving path's pass — holds the same bar: over an
+    // unchanged system a warmed pass finds nothing dirty, reuses every
+    // span, and must not allocate (one warm-up pass first to grow the dirty
+    // flags and buckets).
+    par.run_revalidate(&solver.least_parts(), 1, None);
     ALLOCATIONS.store(0, Ordering::SeqCst);
     COUNTING.store(true, Ordering::SeqCst);
-    par.run_with(&solver.least_parts(), 1, SolSetKind::SortedSpan, true, None);
+    let outcome = par.run_revalidate(&solver.least_parts(), 1, None);
     COUNTING.store(false, Ordering::SeqCst);
-    let diff_allocations = ALLOCATIONS.load(Ordering::SeqCst);
+    let revalidate_allocations = ALLOCATIONS.load(Ordering::SeqCst);
     assert_eq!(
-        diff_allocations, 0,
-        "steady-state diff least pass allocated {diff_allocations} times"
+        revalidate_allocations, 0,
+        "steady-state revalidation pass allocated {revalidate_allocations} times"
     );
+    assert_eq!(outcome.dirty_vars, 0, "an unchanged system has nothing dirty");
     assert_eq!(
         par.solution(),
         solver.least_solution(),
-        "diff least pass must stay byte-identical to the sequential one"
+        "revalidation pass must stay byte-identical to the sequential one"
     );
 }

@@ -97,97 +97,70 @@ pub enum Counter {
     /// CSR snapshots built for the least-solution kernel.
     CsrBuilds = 25,
 
-    // -- difference propagation (DESIGN.md §4f) ---------------------------
-    /// Least-solution variables evaluated by a full merge (first visit, or
-    /// difference propagation off).
-    LsDeltaFull = 26,
-    /// Least-solution variables evaluated incrementally from predecessor
-    /// deltas.
-    LsDeltaIncr = 27,
-    /// Elements fed into incremental merges (the traffic difference
-    /// propagation still pays for).
-    LsDeltaIn = 28,
-    /// Elements those merges actually added; `in - fresh` is the redundant
-    /// traffic that difference propagation exposes.
-    LsDeltaFresh = 29,
-
-    // -- solution-set backends (DESIGN.md §4f) ----------------------------
-    /// Distinct 256-bit payload blocks interned by the bitmap/hybrid
-    /// backends' shared arena.
-    SolsetBlocks = 30,
-    /// Interns answered by an existing block (payloads physically shared
-    /// across variables).
-    SolsetBlocksShared = 31,
-    /// Hybrid rows promoted from sorted-span to bitmap past the density
-    /// threshold.
-    SolsetPromotions = 32,
-    /// Approximate heap bytes held by the active backend's set storage.
-    SolsetBytes = 33,
-
     // -- snapshot serving (bane-snap, docs/SERVING.md) --------------------
     /// Bytes written by the on-disk snapshot writer (file size including
     /// header and padding).
-    SnapBytesWritten = 34,
+    SnapBytesWritten = 26,
     /// Snapshot files loaded into a `QueryIndex`.
-    SnapLoads = 35,
+    SnapLoads = 27,
     /// Bytes mapped (or copied into the owned-buffer fallback) by loads.
-    SnapBytesMapped = 36,
+    SnapBytesMapped = 28,
     /// Queries answered by `QueryIndex` (only counted when a recorder is
     /// attached to the instrumented entry points; the lock-free hot path
     /// itself is uninstrumented).
-    SnapQueries = 37,
+    SnapQueries = 29,
 
     // -- incremental serving (bane-serve, docs/INCREMENTAL.md) ------------
     /// `Delta` batches applied to a live `Session`.
-    ServeDeltaApplied = 38,
+    ServeDeltaApplied = 30,
     /// Deltas taken through the monotone fast path (constraints fed into
     /// the live solver; prior sets reused as lower bounds).
-    ServeDeltaMonotone = 39,
+    ServeDeltaMonotone = 31,
     /// Deltas that removed constraints and fell back to replaying the
     /// canonical constraint sequence into a fresh solver.
-    ServeDeltaReplayed = 40,
+    ServeDeltaReplayed = 32,
     /// SCC condensation levels containing at least one dirty variable in
     /// the most recent re-solve (gauge; compare against the level total).
-    ServeDirtyLevels = 41,
+    ServeDirtyLevels = 33,
     /// Variables whose least-solution span was recomputed in the most
     /// recent re-solve (gauge).
-    ServeDirtyVars = 42,
+    ServeDirtyVars = 34,
     /// Variables whose retained least-solution span was reused verbatim
     /// across a `Delta` application.
-    ServeReuseHit = 43,
+    ServeReuseHit = 35,
 
     // -- fleet serving (bane-serve ShardManager, docs/SERVING.md) ---------
     /// Per-shard deltas dispatched by the fleet router (one per shard a
     /// batch actually touched).
-    FleetDeltaRouted = 44,
+    FleetDeltaRouted = 36,
     /// Variable creations replicated across the fleet by the `AddVars`
     /// fan-out (`n` requested vars on an `S`-shard fleet count `n * S`).
-    FleetVarsFanout = 45,
+    FleetVarsFanout = 37,
     /// Delta batches rejected atomically at the shard boundary (a group
     /// straddled owner classes, moved owners, or named a dead group).
-    FleetRejectCrossShard = 46,
+    FleetRejectCrossShard = 38,
     /// Per-shard snapshots republished into a `SnapshotHub`.
-    FleetPublish = 47,
+    FleetPublish = 39,
 
     // -- provenance fast-apply (bane-serve ApplyMode::Fast) ---------------
     /// Non-monotone deltas repaired in place by the provenance fast path
     /// (retraction + semi-naive refire, no replay).
-    ServeFastRepaired = 48,
+    ServeFastRepaired = 40,
     /// Non-monotone deltas on a Fast session that invalidated a recorded
     /// cycle collapse and fell back to canonical replay.
-    ServeFastFallback = 49,
+    ServeFastFallback = 41,
     /// Graph edges removed by provenance retraction across fast repairs.
-    ServeFastRetractedEdges = 50,
+    ServeFastRetractedEdges = 42,
     /// Smallest per-shard live-constraint count across the fleet (gauge;
     /// refreshed by `ShardManager` after every routed batch).
-    FleetBalanceMin = 51,
+    FleetBalanceMin = 43,
     /// Largest per-shard live-constraint count across the fleet (gauge).
-    FleetBalanceMax = 52,
+    FleetBalanceMax = 44,
 }
 
 impl Counter {
     /// Number of registered counters.
-    pub const COUNT: usize = 53;
+    pub const COUNT: usize = 45;
 
     /// Every counter, in canonical report order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -217,14 +190,6 @@ impl Counter {
         Counter::ErrorsInconsistencies,
         Counter::EpochResets,
         Counter::CsrBuilds,
-        Counter::LsDeltaFull,
-        Counter::LsDeltaIncr,
-        Counter::LsDeltaIn,
-        Counter::LsDeltaFresh,
-        Counter::SolsetBlocks,
-        Counter::SolsetBlocksShared,
-        Counter::SolsetPromotions,
-        Counter::SolsetBytes,
         Counter::SnapBytesWritten,
         Counter::SnapLoads,
         Counter::SnapBytesMapped,
@@ -275,14 +240,6 @@ impl Counter {
             Counter::ErrorsInconsistencies => "errors.inconsistencies",
             Counter::EpochResets => "epoch.resets",
             Counter::CsrBuilds => "csr.build",
-            Counter::LsDeltaFull => "ls.delta.full",
-            Counter::LsDeltaIncr => "ls.delta.incr",
-            Counter::LsDeltaIn => "ls.delta.in",
-            Counter::LsDeltaFresh => "ls.delta.fresh",
-            Counter::SolsetBlocks => "solset.blocks",
-            Counter::SolsetBlocksShared => "solset.blocks-shared",
-            Counter::SolsetPromotions => "solset.promotions",
-            Counter::SolsetBytes => "solset.bytes",
             Counter::SnapBytesWritten => "snap.bytes-written",
             Counter::SnapLoads => "snap.loads",
             Counter::SnapBytesMapped => "snap.bytes-mapped",

@@ -221,7 +221,7 @@ impl RunReport {
         if !self.counters.is_empty() {
             // Derived figure, not a stored counter (and not in the JSON
             // schema): fraction of the paper's Work that was redundant
-            // edge traffic — the number difference propagation shrinks.
+            // edge traffic — the number online cycle elimination shrinks.
             let ratio = self.redundant_ratio();
             let name_w = self
                 .counters

@@ -21,9 +21,7 @@
 //! in the sequential pass's exact commit order (creation order for standard
 //! form, increasing variable order for inductive form), including standard
 //! form's empty `(k, k)` spans. Identical contents in identical order is
-//! identical bytes. The same argument covers the solution-set backends and
-//! difference propagation below: they change how a set is *computed*, never
-//! what it contains, and the relayout order is untouched.
+//! identical bytes.
 //!
 //! # The CSR read path
 //!
@@ -35,26 +33,15 @@
 //! pointer, they stream flat arrays. This is also what makes the scan
 //! trivially safe to share read-only across threads.
 //!
-//! # Solution-set backends and difference propagation
+//! # One set representation, two passes
 //!
-//! [`ParLeast::run_with`] extends the pass along the two axes of
-//! `bane-core`'s [`solset`](bane_core::solset) module (DESIGN.md §4f):
-//!
-//! - **backend** ([`SolSetKind`]): wide unions (many or large input runs)
-//!   can be built in a worker-local sparse bitmap over a hash-consed block
-//!   arena instead of iterated pairwise merging — blocks interned while
-//!   scanning one level are shared across that level's variables, which is
-//!   exactly where near-identical sets cluster. Each worker owns its arena
-//!   (inside its `Mutex`ed scratch), so the path needs no cross-thread
-//!   synchronization beyond the existing level barriers.
-//! - **difference propagation** (`diff`): the evaluator retains the stable
-//!   arena, the previous run's rows, and the previous representative map.
-//!   A repeated run feeds each still-canonical variable only its new
-//!   sources, its new predecessor edges' full sets, and its old
-//!   predecessors' *deltas* (fresh elements committed this run), falling
-//!   back to a full merge for variables the previous run did not cover.
-//!   Monotone growth makes the retained stable sets valid lower bounds, so
-//!   the result is byte-identical to a cold run either way.
+//! Every set is a sorted, distinct span of one shared arena, built by
+//! iterated pairwise merging of its inputs — the sequential pass's
+//! representation and merge primitive. [`ParLeast::run`] evaluates every
+//! level; [`ParLeast::run_revalidate`] re-evaluates only the variables the
+//! retained baseline cannot vouch for. Both end by relaying the sets out
+//! compactly and keeping the rows and representative map as the baseline
+//! the next revalidation compares against.
 //!
 //! # Scheduling
 //!
@@ -66,91 +53,33 @@
 //! `threads == 1` the pass runs inline with no locks, no barriers, and —
 //! once warm — no allocations (pinned by `bane-core`'s allocation test).
 
+
 use bane_core::least::{merge_sorted_dedup, CsrSnapshot, LeastParts, LeastSolution};
-use bane_core::solset::{SolSetKind, HYBRID_PROMOTE};
 use bane_core::solver::{Form, Solver};
 use bane_core::{TermId, Var};
 use bane_obs::{Counter, Phase, Recorder};
 use bane_util::idx::Idx;
-use bane_util::solset::{BlockArena, SparseBitmap};
 use std::sync::{Barrier, Mutex, RwLock};
 
 use crate::pool::{chunk_range, Pool};
 
-/// Converts a `TermId` to its bitmap bit.
-fn bit(t: TermId) -> u32 {
-    t.index() as u32
-}
-
-/// Converts a bitmap bit back to a `TermId`.
-fn term(b: u32) -> TermId {
-    TermId::new(b as usize)
-}
-
-/// `out = a \ b` for sorted distinct slices (cleared first).
-fn diff_sorted(a: &[TermId], b: &[TermId], out: &mut Vec<TermId>) {
-    out.clear();
-    let mut j = 0usize;
-    for &x in a {
-        while j < b.len() && b[j] < x {
-            j += 1;
-        }
-        if j >= b.len() || b[j] != x {
-            out.push(x);
-        }
-    }
-}
-
-/// How one scanned variable's `out` segment is to be committed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ScanKind {
-    /// The segment is the variable's complete set.
-    Full,
-    /// The segment is only the fresh elements (delta) against the retained
-    /// stable set.
-    Incr,
-}
-
 /// The shared evaluation state: the arena sets are committed into, plus the
 /// span of every canonical variable already evaluated.
-///
-/// Under difference propagation the arena persists across runs — unchanged
-/// variables keep their old spans — and each run additionally accumulates
-/// per-variable *delta* spans that same-run successors merge instead of the
-/// full sets.
 #[derive(Clone, Debug, Default)]
 struct WorkBufs {
     arena: Vec<TermId>,
     /// Indexed by raw variable index; `(0, 0)` until the variable's level
     /// commits. Collapsed variables and empty sets keep an empty span.
     spans: Vec<(u32, u32)>,
-    /// This run's fresh elements per variable (sorted, distinct).
-    delta_arena: Vec<TermId>,
-    /// Indexed by raw variable index, into `delta_arena`.
-    delta_spans: Vec<(u32, u32)>,
-    /// Variables whose whole set is this run's delta (full merges): their
-    /// successors read `spans` instead of `delta_spans`.
-    delta_full: Vec<bool>,
-    /// Commit-side merge buffer (old stable ∪ delta → new stable).
-    merge_scratch: Vec<TermId>,
-    /// Pass accounting, aggregated at commit time (`ls.delta.*` counters).
-    stat_full: u64,
-    stat_incr: u64,
-    stat_in: u64,
-    stat_fresh: u64,
 }
 
-/// Union-building scratch: the pairwise ping-pong buffers plus the
-/// worker-local bitmap path (its block arena is cleared per level, so
-/// blocks interned for one variable are shared by the level's others).
+/// Union-building scratch: the pairwise ping-pong buffers.
 #[derive(Clone, Debug, Default)]
 struct MergeScratch {
     acc: Vec<TermId>,
     buf_b: Vec<TermId>,
     bounds_a: Vec<(u32, u32)>,
     bounds_b: Vec<(u32, u32)>,
-    map: SparseBitmap,
-    map_arena: BlockArena,
 }
 
 /// One worker's private scratch: scan output plus merge buffers.
@@ -163,46 +92,22 @@ struct WorkerState {
     out: Vec<TermId>,
     /// Per-chunk-item range into `out` (empty when the segment is empty).
     bounds: Vec<(u32, u32)>,
-    /// Per-chunk-item commit mode.
-    kinds: Vec<ScanKind>,
-    /// Full-set input runs (spans into the stable arena).
+    /// Input runs (spans into the shared arena).
     runs: Vec<(u32, u32)>,
-    /// Incremental input runs: `(start, end, is_delta)` — spans into the
-    /// delta arena when `is_delta`, the stable arena otherwise.
-    in_runs: Vec<(u32, u32, bool)>,
-    /// New sources this run (`srcs \ prev_srcs`).
-    src_delta: Vec<TermId>,
-    /// The merged incremental contribution before subtracting the stable
-    /// set.
-    dset: Vec<TermId>,
-    /// Elements fed into this chunk's merges (drained at commit).
-    elems_scanned: u64,
     merge: MergeScratch,
 }
 
 /// Unions `total` sorted, distinct input runs into `out` (appended).
-///
-/// `use_bitmap` routes wide unions through the worker-local sparse bitmap —
-/// same bytes, different engine: blocks are OR'd word-wise and interned, so
-/// repeated payloads across a level's variables are built once.
 fn union_runs<'a>(
     total: usize,
     input: impl Fn(usize) -> &'a [TermId],
-    use_bitmap: bool,
     m: &mut MergeScratch,
     out: &mut Vec<TermId>,
 ) {
     match total {
         0 => {}
         1 => out.extend_from_slice(input(0)),
-        2 if !use_bitmap => merge_sorted_dedup(input(0), input(1), out),
-        _ if use_bitmap => {
-            m.map.clear();
-            for i in 0..total {
-                m.map.insert_sorted(&mut m.map_arena, input(i).iter().map(|&t| bit(t)), None);
-            }
-            m.map.for_each(&m.map_arena, |b| out.push(term(b)));
-        }
+        2 => merge_sorted_dedup(input(0), input(1), out),
         _ => {
             // Iterated pairwise merging, same shape (and same shared
             // primitive) as the sequential pass.
@@ -250,24 +155,12 @@ fn union_runs<'a>(
     }
 }
 
-/// Whether a union of `input_len` total elements should run on the bitmap
-/// path under `kind`.
-fn wants_bitmap(kind: SolSetKind, input_len: usize) -> bool {
-    match kind {
-        SolSetKind::SortedSpan => false,
-        SolSetKind::Bitmap => true,
-        SolSetKind::Hybrid => input_len > HYBRID_PROMOTE,
-    }
-}
-
 /// A reusable SCC-level-parallel least-solution evaluator.
 ///
 /// Feed it [`LeastParts`] (borrowed from a solved [`Solver`]) via
-/// [`run`](ParLeast::run) — or [`run_with`](ParLeast::run_with) to select a
-/// solution-set backend and difference propagation — then read the result
-/// with [`solution`](ParLeast::solution). The output is byte-identical to
-/// [`Solver::least_solution`] at every thread count, backend, and diff
-/// setting.
+/// [`run`](ParLeast::run) or [`run_revalidate`](ParLeast::run_revalidate),
+/// then read the result with [`solution`](ParLeast::solution). The output
+/// is byte-identical to [`Solver::least_solution`] at every thread count.
 ///
 /// # Examples
 ///
@@ -315,13 +208,11 @@ pub struct ParLeast {
     relayout_arena: Vec<TermId>,
     relayout_spans: Vec<(u32, u32)>,
     /// The previous run's rows, representative map, and validity — the
-    /// difference-propagation baseline (see the module docs).
+    /// baseline [`run_revalidate`](ParLeast::run_revalidate) compares
+    /// against.
     prev_csr: CsrSnapshot,
     prev_rep: Vec<Var>,
     prev_valid: bool,
-    /// Whether a variable may be evaluated incrementally this run (it was
-    /// canonical — hence evaluated — in the previous run).
-    incr_ok: Vec<bool>,
     /// Revalidation dirty flags, indexed by raw variable index.
     dirty: Vec<bool>,
     /// The dirty subset of `level_order`, same bucketing.
@@ -358,159 +249,28 @@ impl ParLeast {
     }
 
     /// Evaluates the least solution of `parts` on `threads` workers
-    /// (clamped to at least 1), reusing all internal buffers.
-    ///
-    /// Equivalent to [`run_with`](ParLeast::run_with) under the default
-    /// sorted-span backend with difference propagation off — the legacy
-    /// reference path.
+    /// (clamped to at least 1), reusing all internal buffers, and keeps the
+    /// result as the baseline of the next
+    /// [`run_revalidate`](ParLeast::run_revalidate).
     ///
     /// With a recorder, the whole pass is timed under
     /// [`Phase::ParLeast`] and the `ls.*` counters are set to match the
     /// sequential pass's accounting.
     pub fn run(&mut self, parts: &LeastParts<'_>, threads: usize, rec: Option<&Recorder>) {
-        self.run_with(parts, threads, SolSetKind::SortedSpan, false, rec);
-    }
-
-    /// [`run`](ParLeast::run) with an explicit solution-set backend and
-    /// difference propagation.
-    ///
-    /// `kind` selects the union engine for wide merges (see
-    /// [`SolSetKind`]); `diff` enables cross-run difference propagation —
-    /// the first run (or a run after `diff == false`) evaluates everything,
-    /// subsequent `diff` runs over a *grown* version of the same system
-    /// re-merge only deltas. Output bytes are identical in every
-    /// combination.
-    pub fn run_with(
-        &mut self,
-        parts: &LeastParts<'_>,
-        threads: usize,
-        kind: SolSetKind,
-        diff: bool,
-        rec: Option<&Recorder>,
-    ) {
         let t0 = rec.map(|_| std::time::Instant::now());
         let threads = threads.max(1);
-        let parts = *parts;
-        self.build_schedule(&parts, rec);
+        self.build_schedule(parts, rec);
 
-        while self.workers.len() < threads {
-            self.workers.push(Mutex::new(WorkerState::default()));
-        }
-
-        let n = self.rep.len();
-        let diff_active = diff && self.prev_valid;
-        self.incr_ok.clear();
-        if diff_active {
-            // Keep the stable arena and spans: unchanged variables stay on
-            // their old spans, changed ones get fresh appends. A variable
-            // may go incremental iff it was canonical (hence evaluated) in
-            // the baseline run. Canonicality only decreases, so a stale
-            // `true` for a since-collapsed variable is harmless — it left
-            // the layout.
-            self.incr_ok.resize(n, false);
-            for i in 0..n.min(self.prev_rep.len()) {
-                if self.prev_rep[i] == Var::new(i) {
-                    self.incr_ok[i] = true;
-                }
-            }
-            self.work.spans.resize(n, (0, 0));
-        } else {
-            self.work.arena.clear();
-            self.work.spans.clear();
-            self.work.spans.resize(n, (0, 0));
-        }
-        self.work.delta_arena.clear();
-        self.work.delta_spans.clear();
-        self.work.delta_spans.resize(n, (0, 0));
-        self.work.delta_full.clear();
-        self.work.delta_full.resize(n, false);
-        self.work.stat_full = 0;
-        self.work.stat_incr = 0;
-        self.work.stat_in = 0;
-        self.work.stat_fresh = 0;
-
-        if threads == 1 {
-            // Inline fast path: no locks, no barriers, no allocation once
-            // the buffers are warm.
-            let prev = if diff_active { Some(&self.prev_csr) } else { None };
-            let st = self.workers[0].get_mut().expect("worker mutex poisoned");
-            for &(ls, le) in &self.level_ranges {
-                let level = &self.level_order[ls as usize..le as usize];
-                scan_chunk(parts.form, kind, &self.csr, prev, &self.incr_ok, &self.work, level, st);
-                if diff_active {
-                    commit_chunk_diff(&mut self.work, level, st);
-                } else {
-                    commit_chunk(&mut self.work, level, st);
-                }
-            }
-        } else {
-            let work = RwLock::new(std::mem::take(&mut self.work));
-            let barrier = Barrier::new(threads);
-            let level_ranges = &self.level_ranges;
-            let level_order = &self.level_order;
-            let workers = &self.workers;
-            let csr = &self.csr;
-            let prev = if diff_active { Some(&self.prev_csr) } else { None };
-            let incr_ok = &self.incr_ok;
-            let form = parts.form;
-            Pool::new(threads).broadcast(|w| {
-                for &(ls, le) in level_ranges {
-                    let level = &level_order[ls as usize..le as usize];
-                    {
-                        // Scan: every worker reads the frozen lower-level
-                        // spans and writes only its own slot.
-                        let frozen = work.read().expect("work lock poisoned");
-                        let mut st = workers[w].lock().expect("worker mutex poisoned");
-                        let (cs, ce) = chunk_range(level.len(), threads, w);
-                        scan_chunk(form, kind, csr, prev, incr_ok, &frozen, &level[cs..ce], &mut st);
-                    }
-                    barrier.wait();
-                    if w == 0 {
-                        // Commit: worker 0 appends every chunk in worker
-                        // order, reproducing the level's layout order.
-                        let mut open = work.write().expect("work lock poisoned");
-                        for (ww, worker) in workers.iter().enumerate().take(threads) {
-                            let st = worker.lock().expect("worker mutex poisoned");
-                            let (cs, ce) = chunk_range(level.len(), threads, ww);
-                            if diff_active {
-                                commit_chunk_diff(&mut open, &level[cs..ce], &st);
-                            } else {
-                                commit_chunk(&mut open, &level[cs..ce], &st);
-                            }
-                        }
-                    }
-                    barrier.wait();
-                }
-            });
-            self.work = work.into_inner().expect("work lock poisoned");
-        }
-
-        self.relayout(parts.form);
-
-        // Record this run as the next diff baseline: the relaid-out stable
-        // arena plus these rows and representatives are exactly what an
-        // incremental follow-up needs.
-        self.prev_csr.copy_from(&self.csr);
-        self.prev_rep.clone_from(&self.rep);
-        self.prev_valid = true;
-
-        if let Some(rec) = rec {
-            self.record_ls_counters(rec);
-            if diff_active {
-                rec.add(Counter::LsDeltaFull, self.work.stat_full);
-                rec.add(Counter::LsDeltaIncr, self.work.stat_incr);
-                rec.add(Counter::LsDeltaIn, self.work.stat_in);
-                rec.add(Counter::LsDeltaFresh, self.work.stat_fresh);
-            }
-            if let Some(t0) = t0 {
-                rec.record_ns(Phase::ParLeast, t0.elapsed().as_nanos() as u64);
-            }
-        }
+        self.work.arena.clear();
+        self.work.spans.clear();
+        self.work.spans.resize(self.rep.len(), (0, 0));
+        self.evaluate(parts.form, threads, false);
+        self.finish(parts.form, rec, t0);
     }
 
     /// Builds the evaluation schedule for `parts`: representative map,
     /// layout order, frozen CSR rows, condensation levels, and the stable
-    /// per-level buckets. Shared by [`run_with`](ParLeast::run_with) and
+    /// per-level buckets. Shared by [`run`](ParLeast::run) and
     /// [`run_revalidate`](ParLeast::run_revalidate).
     fn build_schedule(&mut self, parts: &LeastParts<'_>, rec: Option<&Recorder>) {
         parts.rep_map_into(&mut self.rep);
@@ -550,6 +310,85 @@ impl ParLeast {
         }
     }
 
+    /// Scans and commits level by level on `threads` workers: every level
+    /// of the schedule, or with `dirty_only` just the dirty buckets
+    /// [`run_revalidate`](ParLeast::run_revalidate) selected.
+    fn evaluate(&mut self, form: Form, threads: usize, dirty_only: bool) {
+        while self.workers.len() < threads {
+            self.workers.push(Mutex::new(WorkerState::default()));
+        }
+        let (order, ranges) = if dirty_only {
+            (&self.dirty_order, &self.dirty_ranges)
+        } else {
+            (&self.level_order, &self.level_ranges)
+        };
+        let csr = &self.csr;
+        if threads == 1 {
+            // Inline fast path: no locks, no barriers, no allocation once
+            // the buffers are warm.
+            let st = self.workers[0].get_mut().expect("worker mutex poisoned");
+            for &(ls, le) in ranges {
+                let level = &order[ls as usize..le as usize];
+                if level.is_empty() {
+                    continue;
+                }
+                scan_chunk(form, csr, &self.work, level, st);
+                commit_chunk(&mut self.work, level, st);
+            }
+            return;
+        }
+        let work = RwLock::new(std::mem::take(&mut self.work));
+        let barrier = Barrier::new(threads);
+        let workers = &self.workers;
+        Pool::new(threads).broadcast(|w| {
+            for &(ls, le) in ranges {
+                let level = &order[ls as usize..le as usize];
+                if level.is_empty() {
+                    continue;
+                }
+                {
+                    // Scan: every worker reads the frozen lower-level spans
+                    // and writes only its own slot.
+                    let frozen = work.read().expect("work lock poisoned");
+                    let mut st = workers[w].lock().expect("worker mutex poisoned");
+                    let (cs, ce) = chunk_range(level.len(), threads, w);
+                    scan_chunk(form, csr, &frozen, &level[cs..ce], &mut st);
+                }
+                barrier.wait();
+                if w == 0 {
+                    // Commit: worker 0 appends every chunk in worker order,
+                    // reproducing the level's layout order.
+                    let mut open = work.write().expect("work lock poisoned");
+                    for (ww, worker) in workers.iter().enumerate().take(threads) {
+                        let st = worker.lock().expect("worker mutex poisoned");
+                        let (cs, ce) = chunk_range(level.len(), threads, ww);
+                        commit_chunk(&mut open, &level[cs..ce], &st);
+                    }
+                }
+                barrier.wait();
+            }
+        });
+        self.work = work.into_inner().expect("work lock poisoned");
+    }
+
+    /// Ends a pass: relays the sets out compactly, records this run's rows
+    /// and representatives as the next revalidation baseline, and reports
+    /// to `rec`.
+    fn finish(&mut self, form: Form, rec: Option<&Recorder>, t0: Option<std::time::Instant>) {
+        self.relayout(form);
+        self.prev_csr.copy_from(&self.csr);
+        self.prev_rep.clone_from(&self.rep);
+        self.prev_valid = true;
+        if let Some(rec) = rec {
+            let set_vars = self.work.spans.iter().filter(|(s, e)| e > s).count();
+            rec.set(Counter::LsSetVars, set_vars as u64);
+            rec.set(Counter::LsEntries, self.work.arena.len() as u64);
+            if let Some(t0) = t0 {
+                rec.record_ns(Phase::ParLeast, t0.elapsed().as_nanos() as u64);
+            }
+        }
+    }
+
     /// Re-evaluates the least solution of `parts` against the **retained
     /// baseline** of the previous run, recomputing only variables whose
     /// result can actually have changed — the `bane-serve` re-solve kernel
@@ -562,17 +401,15 @@ impl ParLeast {
     /// other variable's retained arena span is provably byte-identical to
     /// what a full pass would produce — same row, and (inductively)
     /// identical predecessor sets — so it is reused untouched. Dirty
-    /// variables get a full per-level recompute (never incremental), which
-    /// is what keeps this path sound under **non-monotone** change: unlike
-    /// difference propagation, nothing assumes the old set is a lower bound,
-    /// so constraint *removal* (a replayed fresh solver) is handled by the
-    /// same code path as growth.
+    /// variables get a full per-level recompute. Nothing assumes the old
+    /// set is a lower bound, so constraint *removal* (a replayed fresh
+    /// solver) is handled by the same code path as growth.
     ///
     /// The output (via [`solution`](ParLeast::solution)) is byte-identical
     /// to a cold [`Solver::least_solution`] of the same solved system at
-    /// every thread count and backend. The returned [`RevalidateOutcome`]
-    /// reports how localized the pass was; an unchanged system reports zero
-    /// dirty variables and zero dirty levels.
+    /// every thread count. The returned [`RevalidateOutcome`] reports how
+    /// localized the pass was; an unchanged system reports zero dirty
+    /// variables and zero dirty levels.
     ///
     /// Recomputed sets are appended to the working arena, and the pass ends
     /// by relaying every set out in the sequential order and adopting that
@@ -583,17 +420,11 @@ impl ParLeast {
         &mut self,
         parts: &LeastParts<'_>,
         threads: usize,
-        kind: SolSetKind,
         rec: Option<&Recorder>,
     ) -> RevalidateOutcome {
         let t0 = rec.map(|_| std::time::Instant::now());
         let threads = threads.max(1);
-        let parts = *parts;
-        self.build_schedule(&parts, rec);
-
-        while self.workers.len() < threads {
-            self.workers.push(Mutex::new(WorkerState::default()));
-        }
+        self.build_schedule(parts, rec);
 
         let n = self.rep.len();
         let cold = !self.prev_valid;
@@ -603,13 +434,6 @@ impl ParLeast {
             self.work.spans.clear();
         }
         self.work.spans.resize(n, (0, 0));
-        // The incremental (diff) machinery is inert on this path: every
-        // dirty variable is a full recompute.
-        self.incr_ok.clear();
-        self.work.delta_spans.clear();
-        self.work.delta_spans.resize(n, (0, 0));
-        self.work.delta_full.clear();
-        self.work.delta_full.resize(n, false);
 
         // Dirty sweep, in layout order so predecessor flags are final
         // before their successors test them (predecessors always precede
@@ -657,66 +481,10 @@ impl ParLeast {
         }
 
         if dirty_vars > 0 {
-            if threads == 1 {
-                let st = self.workers[0].get_mut().expect("worker mutex poisoned");
-                for &(ds, de) in &self.dirty_ranges {
-                    let level = &self.dirty_order[ds as usize..de as usize];
-                    if level.is_empty() {
-                        continue;
-                    }
-                    scan_chunk(parts.form, kind, &self.csr, None, &self.incr_ok, &self.work, level, st);
-                    commit_chunk(&mut self.work, level, st);
-                }
-            } else {
-                let work = RwLock::new(std::mem::take(&mut self.work));
-                let barrier = Barrier::new(threads);
-                let dirty_ranges = &self.dirty_ranges;
-                let dirty_order = &self.dirty_order;
-                let workers = &self.workers;
-                let csr = &self.csr;
-                let incr_ok = &self.incr_ok;
-                let form = parts.form;
-                Pool::new(threads).broadcast(|w| {
-                    for &(ds, de) in dirty_ranges {
-                        let level = &dirty_order[ds as usize..de as usize];
-                        if level.is_empty() {
-                            continue;
-                        }
-                        {
-                            let frozen = work.read().expect("work lock poisoned");
-                            let mut st = workers[w].lock().expect("worker mutex poisoned");
-                            let (cs, ce) = chunk_range(level.len(), threads, w);
-                            scan_chunk(form, kind, csr, None, incr_ok, &frozen, &level[cs..ce], &mut st);
-                        }
-                        barrier.wait();
-                        if w == 0 {
-                            let mut open = work.write().expect("work lock poisoned");
-                            for (ww, worker) in workers.iter().enumerate().take(threads) {
-                                let st = worker.lock().expect("worker mutex poisoned");
-                                let (cs, ce) = chunk_range(level.len(), threads, ww);
-                                commit_chunk(&mut open, &level[cs..ce], &st);
-                            }
-                        }
-                        barrier.wait();
-                    }
-                });
-                self.work = work.into_inner().expect("work lock poisoned");
-            }
+            self.evaluate(parts.form, threads, true);
         }
-
         // Reused and recomputed spans alike move to the compact layout.
-        self.relayout(parts.form);
-
-        self.prev_csr.copy_from(&self.csr);
-        self.prev_rep.clone_from(&self.rep);
-        self.prev_valid = true;
-
-        if let Some(rec) = rec {
-            self.record_ls_counters(rec);
-            if let Some(t0) = t0 {
-                rec.record_ns(Phase::ParLeast, t0.elapsed().as_nanos() as u64);
-            }
-        }
+        self.finish(parts.form, rec, t0);
 
         RevalidateOutcome {
             total_levels: self.level_ranges.len(),
@@ -752,14 +520,6 @@ impl ParLeast {
         std::mem::swap(&mut self.work.spans, &mut self.relayout_spans);
     }
 
-    /// Sets the `ls.*` size counters to match the sequential pass's
-    /// accounting.
-    fn record_ls_counters(&self, rec: &Recorder) {
-        let set_vars = self.work.spans.iter().filter(|(s, e)| e > s).count();
-        rec.set(Counter::LsSetVars, set_vars as u64);
-        rec.set(Counter::LsEntries, self.work.arena.len() as u64);
-    }
-
     /// The solution computed by the last [`run`](ParLeast::run), as an owned
     /// [`LeastSolution`] (byte-identical to the sequential pass's).
     ///
@@ -782,250 +542,58 @@ impl ParLeast {
 }
 
 /// Evaluates `vars` (a slice of one level, in layout order) against the
-/// frozen lower-level `work` state, appending each result segment to
+/// frozen lower-level `work` state, appending each variable's full set to
 /// `st.out`.
 ///
 /// Reads only the frozen [`CsrSnapshot`] (canonical, sorted, distinct rows)
 /// and the committed spans — never the live graph — so the whole scan is
-/// pointer-chase-free streaming over flat arrays. With `prev` (difference
-/// propagation), a variable covered by the baseline run emits only its
-/// delta; everything else emits its full set.
-#[allow(clippy::too_many_arguments)]
-fn scan_chunk(
-    form: Form,
-    kind: SolSetKind,
-    csr: &CsrSnapshot,
-    prev: Option<&CsrSnapshot>,
-    incr_ok: &[bool],
-    work: &WorkBufs,
-    vars: &[Var],
-    st: &mut WorkerState,
-) {
-    let WorkerState {
-        out,
-        bounds,
-        kinds,
-        runs,
-        in_runs,
-        src_delta,
-        dset,
-        elems_scanned,
-        merge,
-    } = st;
+/// pointer-chase-free streaming over flat arrays.
+fn scan_chunk(form: Form, csr: &CsrSnapshot, work: &WorkBufs, vars: &[Var], st: &mut WorkerState) {
+    let WorkerState { out, bounds, runs, merge } = st;
     out.clear();
     bounds.clear();
-    kinds.clear();
-    *elems_scanned = 0;
-    // Per-level arena reset: blocks interned for one variable are shared by
-    // the rest of the level (the block-sharing locality the backends bank
-    // on), without unbounded growth across levels.
-    merge.map_arena.clear();
     for &v in vars {
         let srcs = csr.srcs(v);
         let start = out.len() as u32;
-        let incremental = match prev {
-            Some(_) => incr_ok.get(v.index()).copied().unwrap_or(false),
-            None => false,
-        };
-        if !incremental {
-            match form {
-                Form::Standard => {
-                    // Standard form's sets are exactly the frozen source
-                    // rows.
-                    out.extend_from_slice(srcs);
-                    *elems_scanned += srcs.len() as u64;
-                }
-                Form::Inductive => {
-                    runs.clear();
-                    for &u in csr.preds(v) {
-                        let span = work.spans[u.index()];
-                        if span.1 > span.0 {
-                            runs.push(span);
-                        }
-                    }
-                    let runs: &[(u32, u32)] = runs;
-                    match (srcs.is_empty(), runs) {
-                        (true, []) => {}
-                        (false, []) => {
-                            out.extend_from_slice(srcs);
-                            *elems_scanned += srcs.len() as u64;
-                        }
-                        (true, &[(s, e)]) => {
-                            out.extend_from_slice(&work.arena[s as usize..e as usize]);
-                            *elems_scanned += (e - s) as u64;
-                        }
-                        _ => {
-                            let extra = usize::from(!srcs.is_empty());
-                            let total = runs.len() + extra;
-                            let input_len = srcs.len()
-                                + runs.iter().map(|&(s, e)| (e - s) as usize).sum::<usize>();
-                            *elems_scanned += input_len as u64;
-                            let input = |i: usize| -> &[TermId] {
-                                if i < extra {
-                                    srcs
-                                } else {
-                                    let (s, e) = runs[i - extra];
-                                    &work.arena[s as usize..e as usize]
-                                }
-                            };
-                            union_runs(total, input, wants_bitmap(kind, input_len), merge, out);
-                        }
+        match form {
+            // Standard form's sets are exactly the frozen source rows.
+            Form::Standard => out.extend_from_slice(srcs),
+            Form::Inductive => {
+                runs.clear();
+                for &u in csr.preds(v) {
+                    let span = work.spans[u.index()];
+                    if span.1 > span.0 {
+                        runs.push(span);
                     }
                 }
-            }
-            kinds.push(ScanKind::Full);
-        } else {
-            let prev = prev.expect("incremental scan without a baseline");
-            // New sources: anything the baseline's row lacked. Unchanged
-            // rows — the overwhelmingly common case — are detected by a
-            // vectorized slice compare instead of the element-wise diff
-            // walk.
-            let prev_srcs = prev.srcs(v);
-            if srcs == prev_srcs {
-                src_delta.clear();
-            } else {
-                diff_sorted(srcs, prev_srcs, src_delta);
-            }
-            // Predecessor contributions: old predecessors feed their delta
-            // (or their full set, if they themselves were fully
-            // re-evaluated); predecessors that joined the row feed
-            // everything.
-            in_runs.clear();
-            let old_preds = prev.preds(v);
-            let mut op = 0usize;
-            for &u in csr.preds(v) {
-                while op < old_preds.len() && old_preds[op] < u {
-                    op += 1;
-                }
-                let is_old = op < old_preds.len() && old_preds[op] == u;
-                if !is_old || work.delta_full[u.index()] {
-                    let (s, e) = work.spans[u.index()];
-                    if e > s {
-                        in_runs.push((s, e, false));
-                    }
-                } else {
-                    let (s, e) = work.delta_spans[u.index()];
-                    if e > s {
-                        in_runs.push((s, e, true));
-                    }
-                }
-            }
-            let extra = usize::from(!src_delta.is_empty());
-            let total = in_runs.len() + extra;
-            let input_len = src_delta.len()
-                + in_runs.iter().map(|&(s, e, _)| (e - s) as usize).sum::<usize>();
-            *elems_scanned += input_len as u64;
-            let src_delta: &[TermId] = src_delta;
-            let in_runs: &[(u32, u32, bool)] = in_runs;
-            let input = |i: usize| -> &[TermId] {
-                if i < extra {
-                    src_delta
-                } else {
-                    let (s, e, is_delta) = in_runs[i - extra];
-                    if is_delta {
-                        &work.delta_arena[s as usize..e as usize]
+                let runs: &[(u32, u32)] = runs;
+                let extra = usize::from(!srcs.is_empty());
+                let input = |i: usize| -> &[TermId] {
+                    if i < extra {
+                        srcs
                     } else {
+                        let (s, e) = runs[i - extra];
                         &work.arena[s as usize..e as usize]
                     }
-                }
-            };
-            dset.clear();
-            union_runs(total, input, wants_bitmap(kind, input_len), merge, dset);
-            // fresh = contribution \ stable: the delta this variable hands
-            // its own successors, and all the commit has to merge.
-            let (ss, se) = work.spans[v.index()];
-            let stable = &work.arena[ss as usize..se as usize];
-            for &x in dset.iter() {
-                if stable.binary_search(&x).is_err() {
-                    out.push(x);
-                }
+                };
+                union_runs(runs.len() + extra, input, merge, out);
             }
-            kinds.push(ScanKind::Incr);
         }
         bounds.push((start, out.len() as u32));
     }
 }
 
-/// Appends a worker's scanned full sets for `vars` to the shared arena, in
-/// chunk order. Deterministic: pure concatenation, no reordering. The
-/// non-diff commit path — every segment is a complete set.
+/// Appends a worker's scanned sets for `vars` to the shared arena, in chunk
+/// order. Deterministic: pure concatenation, no reordering.
 fn commit_chunk(work: &mut WorkBufs, vars: &[Var], st: &WorkerState) {
     debug_assert_eq!(st.bounds.len(), vars.len());
     for (i, &v) in vars.iter().enumerate() {
-        debug_assert_eq!(st.kinds[i], ScanKind::Full);
         let (s, e) = st.bounds[i];
         if e > s {
             let start =
                 u32::try_from(work.arena.len()).expect("least-solution arena overflow");
             work.arena.extend_from_slice(&st.out[s as usize..e as usize]);
             work.spans[v.index()] = (start, start + (e - s));
-        }
-    }
-}
-
-/// The difference-propagation commit: full segments replace the variable's
-/// span; incremental segments append their delta and merge it into the
-/// retained stable set (skipping untouched variables entirely).
-fn commit_chunk_diff(work: &mut WorkBufs, vars: &[Var], st: &WorkerState) {
-    debug_assert_eq!(st.bounds.len(), vars.len());
-    let WorkBufs {
-        arena,
-        spans,
-        delta_arena,
-        delta_spans,
-        delta_full,
-        merge_scratch,
-        stat_full,
-        stat_incr,
-        stat_in,
-        stat_fresh,
-    } = work;
-    *stat_in += st.elems_scanned;
-    for (i, &v) in vars.iter().enumerate() {
-        let (s, e) = st.bounds[i];
-        match st.kinds[i] {
-            ScanKind::Full => {
-                *stat_full += 1;
-                if e > s {
-                    let start =
-                        u32::try_from(arena.len()).expect("least-solution arena overflow");
-                    arena.extend_from_slice(&st.out[s as usize..e as usize]);
-                    spans[v.index()] = (start, start + (e - s));
-                } else {
-                    spans[v.index()] = (0, 0);
-                }
-                // The whole set is this run's delta: successors read the
-                // span directly instead of a copied delta.
-                delta_full[v.index()] = true;
-            }
-            ScanKind::Incr => {
-                *stat_incr += 1;
-                if e > s {
-                    let fresh = &st.out[s as usize..e as usize];
-                    *stat_fresh += fresh.len() as u64;
-                    let ds = u32::try_from(delta_arena.len())
-                        .expect("least-solution delta overflow");
-                    delta_arena.extend_from_slice(fresh);
-                    delta_spans[v.index()] = (ds, ds + (e - s));
-                    // New stable = old stable ∪ fresh, appended (the old
-                    // span is abandoned; a non-diff run compacts the
-                    // arena).
-                    let (os, oe) = spans[v.index()];
-                    merge_scratch.clear();
-                    merge_sorted_dedup(
-                        &arena[os as usize..oe as usize],
-                        fresh,
-                        merge_scratch,
-                    );
-                    let start =
-                        u32::try_from(arena.len()).expect("least-solution arena overflow");
-                    arena.extend_from_slice(merge_scratch);
-                    spans[v.index()] =
-                        (start, start + u32::try_from(merge_scratch.len()).unwrap());
-                }
-                // Empty delta: the stable span (and everything downstream)
-                // is untouched.
-            }
         }
     }
 }
@@ -1123,75 +691,6 @@ mod tests {
         }
     }
 
-    /// Every backend × thread count × diff setting is byte-identical to the
-    /// sequential reference, including warm re-runs.
-    #[test]
-    fn run_with_is_byte_identical_across_backends() {
-        for config in configs() {
-            for seed in 0..4u64 {
-                let mut s = random_solver(config, 0xB0B + seed);
-                let seq = s.least_solution();
-                for kind in SolSetKind::ALL {
-                    for threads in [1, 4] {
-                        let mut par = ParLeast::new();
-                        for diff in [false, true, true] {
-                            par.run_with(&s.least_parts(), threads, kind, diff, None);
-                            assert_eq!(
-                                par.solution(),
-                                seq,
-                                "{config:?} seed {seed} {kind:?} threads {threads} diff {diff}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Difference propagation across system growth: feed held-back edges,
-    /// re-solve, and the diff run must match a cold sequential reference.
-    #[test]
-    fn diff_runs_track_system_growth() {
-        for config in [SolverConfig::if_online(), SolverConfig::sf_online()] {
-            for seed in 0..4u64 {
-                for kind in SolSetKind::ALL {
-                    for threads in [1, 4] {
-                        let (mut s, held) = random_system(config, 0xD1FF + seed, 5);
-                        let mut par = ParLeast::new();
-                        par.run_with(&s.least_parts(), threads, kind, true, None);
-                        assert_eq!(par.solution(), s.least_solution(), "baseline");
-                        for &(a, b) in &held {
-                            s.add(a, b);
-                        }
-                        s.solve();
-                        par.run_with(&s.least_parts(), threads, kind, true, None);
-                        assert_eq!(
-                            par.solution(),
-                            s.least_solution(),
-                            "{config:?} seed {seed} {kind:?} threads {threads} grown"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// A warm diff run over an unchanged system re-merges nothing.
-    #[test]
-    fn unchanged_diff_run_is_all_incremental() {
-        let mut s = random_solver(SolverConfig::if_online(), 11);
-        let seq = s.least_solution();
-        let rec = Recorder::new();
-        let mut par = ParLeast::new();
-        par.run_with(&s.least_parts(), 1, SolSetKind::Bitmap, true, Some(&rec));
-        assert_eq!(par.solution(), seq);
-        assert_eq!(rec.get(Counter::LsDeltaIncr), 0, "cold run is all full merges");
-        par.run_with(&s.least_parts(), 1, SolSetKind::Bitmap, true, Some(&rec));
-        assert_eq!(par.solution(), seq);
-        assert_eq!(rec.get(Counter::LsDeltaFull), 0, "warm run has no full merges");
-        assert_eq!(rec.get(Counter::LsDeltaFresh), 0, "unchanged system yields no fresh elements");
-    }
-
     /// Revalidation from cold, after monotone growth, and over an unchanged
     /// system — byte-identical to the sequential pass in every case, with
     /// the unchanged pass reporting zero dirty work.
@@ -1199,34 +698,32 @@ mod tests {
     fn revalidate_matches_sequential_across_growth() {
         for config in configs() {
             for seed in 0..3u64 {
-                for kind in SolSetKind::ALL {
-                    for threads in [1, 2, 4, 8] {
-                        let (mut s, held) = random_system(config, 0x5E5E + seed, 4);
-                        let mut par = ParLeast::new();
-                        let out = par.run_revalidate(&s.least_parts(), threads, kind, None);
-                        assert_eq!(par.solution(), s.least_solution(), "cold");
-                        assert_eq!(out.reused_vars, 0, "cold pass reuses nothing");
+                for threads in [1, 2, 4, 8] {
+                    let (mut s, held) = random_system(config, 0x5E5E + seed, 4);
+                    let mut par = ParLeast::new();
+                    let out = par.run_revalidate(&s.least_parts(), threads, None);
+                    assert_eq!(par.solution(), s.least_solution(), "cold");
+                    assert_eq!(out.reused_vars, 0, "cold pass reuses nothing");
 
-                        // Unchanged system: everything reuses.
-                        let out = par.run_revalidate(&s.least_parts(), threads, kind, None);
-                        assert_eq!(par.solution(), s.least_solution(), "unchanged");
-                        assert_eq!(out.dirty_vars, 0, "{config:?} unchanged is all-clean");
-                        assert_eq!(out.dirty_levels, 0);
-                        assert_eq!(out.reused_vars, par.layout.len());
+                    // Unchanged system: everything reuses.
+                    let out = par.run_revalidate(&s.least_parts(), threads, None);
+                    assert_eq!(par.solution(), s.least_solution(), "unchanged");
+                    assert_eq!(out.dirty_vars, 0, "{config:?} unchanged is all-clean");
+                    assert_eq!(out.dirty_levels, 0);
+                    assert_eq!(out.reused_vars, par.layout.len());
 
-                        // Monotone growth through the same live solver.
-                        for &(a, b) in &held {
-                            s.add(a, b);
-                        }
-                        s.solve();
-                        let out = par.run_revalidate(&s.least_parts(), threads, kind, None);
-                        assert_eq!(
-                            par.solution(),
-                            s.least_solution(),
-                            "{config:?} seed {seed} {kind:?} threads {threads} grown"
-                        );
-                        assert_eq!(out.dirty_vars + out.reused_vars, par.layout.len());
+                    // Monotone growth through the same live solver.
+                    for &(a, b) in &held {
+                        s.add(a, b);
                     }
+                    s.solve();
+                    let out = par.run_revalidate(&s.least_parts(), threads, None);
+                    assert_eq!(
+                        par.solution(),
+                        s.least_solution(),
+                        "{config:?} seed {seed} threads {threads} grown"
+                    );
+                    assert_eq!(out.dirty_vars + out.reused_vars, par.layout.len());
                 }
             }
         }
@@ -1240,25 +737,22 @@ mod tests {
     fn revalidate_survives_constraint_removal_via_fresh_solver() {
         for config in [SolverConfig::if_online(), SolverConfig::sf_online()] {
             for seed in 0..3u64 {
-                for kind in SolSetKind::ALL {
-                    for threads in [1, 4] {
-                        let mut par = ParLeast::new();
-                        // Baseline: the full system.
-                        let (mut full, _) = random_system(config, 0xDEAD + seed, 0);
-                        par.run_revalidate(&full.least_parts(), threads, kind, None);
-                        assert_eq!(par.solution(), full.least_solution(), "baseline");
+                for threads in [1, 4] {
+                    let mut par = ParLeast::new();
+                    // Baseline: the full system.
+                    let (mut full, _) = random_system(config, 0xDEAD + seed, 0);
+                    par.run_revalidate(&full.least_parts(), threads, None);
+                    assert_eq!(par.solution(), full.least_solution(), "baseline");
 
-                        // "Removal": rebuild from scratch, holding edges back.
-                        let (mut shrunk, _held) = random_system(config, 0xDEAD + seed, 5);
-                        let out =
-                            par.run_revalidate(&shrunk.least_parts(), threads, kind, None);
-                        assert_eq!(
-                            par.solution(),
-                            shrunk.least_solution(),
-                            "{config:?} seed {seed} {kind:?} threads {threads} shrunk"
-                        );
-                        assert!(out.total_levels >= out.dirty_levels);
-                    }
+                    // "Removal": rebuild from scratch, holding edges back.
+                    let (mut shrunk, _held) = random_system(config, 0xDEAD + seed, 5);
+                    let out = par.run_revalidate(&shrunk.least_parts(), threads, None);
+                    assert_eq!(
+                        par.solution(),
+                        shrunk.least_solution(),
+                        "{config:?} seed {seed} threads {threads} shrunk"
+                    );
+                    assert!(out.total_levels >= out.dirty_levels);
                 }
             }
         }
@@ -1276,7 +770,7 @@ mod tests {
         let mut after_second = 0;
         for pass in 1..=50 {
             let s = if pass % 2 == 0 { &mut full } else { &mut shrunk };
-            let out = par.run_revalidate(&s.least_parts(), 1, SolSetKind::SortedSpan, None);
+            let out = par.run_revalidate(&s.least_parts(), 1, None);
             assert_eq!(par.solution(), s.least_solution(), "pass {pass}");
             if pass == 2 {
                 assert!(out.dirty_vars > 0, "the edit must recompute something");
@@ -1313,13 +807,13 @@ mod tests {
         s.add(t, chain_b[0]);
         s.solve();
         let mut par = ParLeast::new();
-        par.run_revalidate(&s.least_parts(), 2, SolSetKind::SortedSpan, None);
+        par.run_revalidate(&s.least_parts(), 2, None);
         assert_eq!(par.solution(), s.least_solution());
 
         // Edit: a new source lands mid-way down chain B.
         s.add(td, chain_b[10]);
         s.solve();
-        let out = par.run_revalidate(&s.least_parts(), 2, SolSetKind::SortedSpan, None);
+        let out = par.run_revalidate(&s.least_parts(), 2, None);
         assert_eq!(par.solution(), s.least_solution(), "post-edit bytes");
         assert!(
             out.dirty_levels < out.total_levels,
@@ -1328,27 +822,28 @@ mod tests {
         assert!(out.reused_vars > out.dirty_vars, "most of the system is clean: {out:?}");
     }
 
-    /// Interleaving diff runs and revalidation runs on one evaluator keeps
-    /// the shared baseline coherent.
+    /// A full `run` leaves a baseline that `run_revalidate` accepts, and a
+    /// revalidation leaves one a later full `run` can follow.
     #[test]
-    fn revalidate_interoperates_with_diff_runs() {
+    fn revalidate_accepts_a_run_baseline() {
         let (mut s, held) = random_system(SolverConfig::if_online(), 0x1A7E, 6);
         let mut par = ParLeast::new();
-        par.run_with(&s.least_parts(), 2, SolSetKind::Hybrid, true, None);
+        par.run(&s.least_parts(), 2, None);
         assert_eq!(par.solution(), s.least_solution());
         for &(a, b) in &held[..3] {
             s.add(a, b);
         }
         s.solve();
-        let out = par.run_revalidate(&s.least_parts(), 2, SolSetKind::Hybrid, None);
-        assert_eq!(par.solution(), s.least_solution(), "revalidate after diff baseline");
+        let out = par.run_revalidate(&s.least_parts(), 2, None);
+        assert_eq!(par.solution(), s.least_solution(), "revalidate after a run baseline");
         assert_eq!(out.dirty_vars + out.reused_vars, par.layout.len());
+        assert!(out.reused_vars > 0, "the run baseline must be reused: {out:?}");
         for &(a, b) in &held[3..] {
             s.add(a, b);
         }
         s.solve();
-        par.run_with(&s.least_parts(), 2, SolSetKind::Hybrid, true, None);
-        assert_eq!(par.solution(), s.least_solution(), "diff after revalidate baseline");
+        par.run(&s.least_parts(), 2, None);
+        assert_eq!(par.solution(), s.least_solution(), "run after a revalidate baseline");
     }
 
     #[test]

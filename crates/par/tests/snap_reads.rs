@@ -1,7 +1,7 @@
 //! The serving acceptance gate: a `QueryIndex` cold-loaded from disk,
 //! shared across `bane-par`'s pool, answers every query kind byte-identically
 //! to the live `LeastSolution` — on the paper-suite povray-2.2 stand-in, at
-//! 1/2/4/8 reader threads, under every solution-set backend.
+//! 1/2/4/8 reader threads.
 //!
 //! This lives in `bane-par` (not `bane-snap`) because the claim under test
 //! is about the *pool*: `&QueryIndex` crosses `Pool::broadcast`'s scoped
@@ -17,8 +17,6 @@ use bane_snap::{write_solver, LoadMode, QueryIndex, QueryScratch};
 use bane_synth::suite::{suite_program, PAPER_SUITE};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
-const BACKENDS: [SolSetKind; 3] =
-    [SolSetKind::SortedSpan, SolSetKind::Bitmap, SolSetKind::Hybrid];
 
 /// Matches the CI bench scale: large enough for real collapse activity and
 /// ~tens of thousands of variables, small enough for the test budget.
@@ -31,58 +29,55 @@ fn povray_snapshot_serves_identically_at_every_thread_count() {
     let dir = std::env::temp_dir().join("bane-par-snap-reads");
     std::fs::create_dir_all(&dir).unwrap();
 
-    for kind in BACKENDS {
-        let config = SolverConfig::if_online().with_solset(kind);
-        let mut analysis = andersen::analyze(&program, config);
-        let ls = analysis.solver.least_solution();
-        let path = dir.join(format!("povray-{kind:?}.snap"));
-        write_solver(&mut analysis.solver, &path, None).unwrap();
-        drop(analysis); // the index must answer with no live solver at all
+    let mut analysis = andersen::analyze(&program, SolverConfig::if_online());
+    let ls = analysis.solver.least_solution();
+    let path = dir.join("povray.snap");
+    write_solver(&mut analysis.solver, &path, None).unwrap();
+    drop(analysis); // the index must answer with no live solver at all
 
-        // Cold load from the file for every thread count: the acceptance
-        // criterion is about a *loaded* index, not a shared warm one.
-        for &threads in &THREADS {
-            let index = QueryIndex::load_with(&path, LoadMode::Auto, None).unwrap();
-            let n = index.var_count();
-            assert_eq!(n, ls.len());
-            let mismatches = AtomicUsize::new(0);
-            let (index, ls, mismatches) = (&index, &ls, &mismatches);
-            let pool = Pool::new(threads);
-            pool.broadcast(|w| {
-                let (start, end) = chunk_range(n, threads, w);
-                let mut scratch = QueryScratch::new();
-                let mut reach = Vec::new();
-                for i in start..end {
-                    let v = Var::new(i);
-                    let live = ls.get(v);
-                    // points_to: byte-identical to the live least solution.
-                    if index.points_to(v) != live {
-                        mismatches.fetch_add(1, Ordering::Relaxed);
-                    }
-                    // reachable_sources: the independent CSR route.
-                    index.reachable_sources_with(v, &mut scratch, &mut reach);
-                    if reach != live {
-                        mismatches.fetch_add(1, Ordering::Relaxed);
-                    }
-                    // alias: against a live sorted-span intersection, on a
-                    // sheared sample of partners so every worker checks a
-                    // different slice of the grid.
-                    let partner = Var::new((i * 7919 + w) % n);
-                    let live_alias =
-                        live.iter().any(|t| ls.get(partner).binary_search(t).is_ok());
-                    if index.alias(v, partner) != live_alias {
-                        mismatches.fetch_add(1, Ordering::Relaxed);
-                    }
+    // Cold load from the file for every thread count: the acceptance
+    // criterion is about a *loaded* index, not a shared warm one.
+    for &threads in &THREADS {
+        let index = QueryIndex::load_with(&path, LoadMode::Auto, None).unwrap();
+        let n = index.var_count();
+        assert_eq!(n, ls.len());
+        let mismatches = AtomicUsize::new(0);
+        let (index, ls, mismatches) = (&index, &ls, &mismatches);
+        let pool = Pool::new(threads);
+        pool.broadcast(|w| {
+            let (start, end) = chunk_range(n, threads, w);
+            let mut scratch = QueryScratch::new();
+            let mut reach = Vec::new();
+            for i in start..end {
+                let v = Var::new(i);
+                let live = ls.get(v);
+                // points_to: byte-identical to the live least solution.
+                if index.points_to(v) != live {
+                    mismatches.fetch_add(1, Ordering::Relaxed);
                 }
-            });
-            assert_eq!(
-                mismatches.load(Ordering::Relaxed),
-                0,
-                "{kind:?} at {threads} threads: snapshot answers diverged from live LS"
-            );
-        }
-        std::fs::remove_file(&path).unwrap();
+                // reachable_sources: the independent CSR route.
+                index.reachable_sources_with(v, &mut scratch, &mut reach);
+                if reach != live {
+                    mismatches.fetch_add(1, Ordering::Relaxed);
+                }
+                // alias: against a live sorted-span intersection, on a
+                // sheared sample of partners so every worker checks a
+                // different slice of the grid.
+                let partner = Var::new((i * 7919 + w) % n);
+                let live_alias =
+                    live.iter().any(|t| ls.get(partner).binary_search(t).is_ok());
+                if index.alias(v, partner) != live_alias {
+                    mismatches.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        });
+        assert_eq!(
+            mismatches.load(Ordering::Relaxed),
+            0,
+            "{threads} threads: snapshot answers diverged from live LS"
+        );
     }
+    std::fs::remove_file(&path).unwrap();
 }
 
 /// Both load paths (mmap and owned) serve the same answers — the backing

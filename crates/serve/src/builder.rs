@@ -8,8 +8,7 @@
 //! builder centralizes every knob:
 //!
 //! - the [`SolverConfig`] (form, ordering, constraint-graph options), with
-//!   shortcuts for the two knobs serving deployments actually vary —
-//!   the [solution-set backend](SessionBuilder::solset) and the
+//!   a shortcut for the knob serving deployments actually vary, the
 //!   [cycle-elimination policy](SessionBuilder::cycle_elim);
 //! - the [revalidation worker count](SessionBuilder::threads) (never
 //!   changes an observable — only wall time);
@@ -31,12 +30,12 @@
 //! use bane_serve::SessionBuilder;
 //!
 //! let mut session = SessionBuilder::new()
-//!     .solset(SolSetKind::Hybrid)
+//!     .cycle_elim(CycleElim::Online)
 //!     .threads(4)
 //!     .obs(true)
 //!     .build();
 //! assert_eq!(session.threads(), 4);
-//! assert_eq!(session.solset(), SolSetKind::Hybrid);
+//! assert_eq!(session.solver().config().cycle_elim, CycleElim::Online);
 //! assert!(session.recorder().is_some());
 //! ```
 
@@ -79,12 +78,6 @@ impl SessionBuilder {
     /// Replaces the whole solver configuration.
     pub fn config(mut self, config: SolverConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Selects the solution-set backend.
-    pub fn solset(mut self, kind: SolSetKind) -> Self {
-        self.config = self.config.with_solset(kind);
         self
     }
 
@@ -171,13 +164,8 @@ mod tests {
 
     #[test]
     fn build_applies_every_knob() {
-        let b = SessionBuilder::new()
-            .solset(SolSetKind::Bitmap)
-            .cycle_elim(CycleElim::Off)
-            .threads(8)
-            .obs(true);
+        let b = SessionBuilder::new().cycle_elim(CycleElim::Off).threads(8).obs(true);
         let s = b.build();
-        assert_eq!(s.solset(), SolSetKind::Bitmap);
         assert_eq!(s.solver().config().cycle_elim, CycleElim::Off);
         assert_eq!(s.threads(), 8);
         assert!(s.recorder().is_some());
@@ -194,7 +182,7 @@ mod tests {
 
     #[test]
     fn grouped_build_matches_problem_config_and_solves() {
-        let mut p = Problem::new(SolverConfig::if_online().with_solset(SolSetKind::Hybrid));
+        let mut p = Problem::new(SolverConfig::if_online());
         let c = p.register_nullary("c");
         let src = p.term(c, vec![]);
         let vars: Vec<Var> = (0..8).map(|_| p.fresh_var()).collect();
@@ -203,8 +191,8 @@ mod tests {
             p.add(w[0], w[1]);
         }
         // The builder's own config differs; the problem's must win.
-        let mut s = SessionBuilder::new().solset(SolSetKind::SortedSpan).build_grouped(p, 3);
-        assert_eq!(s.solset(), SolSetKind::Hybrid);
+        let mut s = SessionBuilder::new().cycle_elim(CycleElim::Off).build_grouped(p, 3);
+        assert_eq!(s.solver().config().cycle_elim, CycleElim::Online);
         assert_eq!(s.group_slots(), 3);
         assert_eq!(s.points_to(vars[7]), &[src]);
     }

@@ -6,9 +6,8 @@
 //! thousands of times. This crate is the serving layer for that workload,
 //! built on two repository primitives:
 //!
-//! - `bane-core`'s **graph revision** (`GraphRevision::validates` /
-//!   `extends`): cheap proof that solved state is still exact, or still a
-//!   monotone lower bound, across an edit;
+//! - `bane-core`'s **graph revision** (`GraphRevision::validates`): cheap
+//!   proof that solved state is still exact across an edit;
 //! - `bane-par`'s **revalidating least-solution kernel**
 //!   (`ParLeast::run_revalidate`): per-condensation-level recomputation of
 //!   only the variables an edit actually dirtied, with every clean
@@ -19,7 +18,7 @@
 //! - [`delta`]: the edit language — constraint **groups** (the unit of
 //!   re-parse), added, removed, or rewritten by a [`Delta`] batch;
 //! - [`builder`]: the [`SessionBuilder`], the one construction path for
-//!   sessions — every knob (solution-set backend, cycle elimination,
+//!   sessions — every knob (solver config, cycle elimination,
 //!   worker threads, apply mode, observability gate) in one reusable
 //!   recipe;
 //! - [`session`]: the long-lived [`Session`] — solved state plus

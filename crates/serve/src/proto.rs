@@ -71,7 +71,7 @@ use bane_core::prelude::*;
 use bane_core::Variance;
 use bane_util::idx::Idx;
 
-use crate::delta::{Delta, GroupId};
+use crate::delta::{Delta, DeltaOp, GroupId};
 use crate::fleet::ShardManager;
 use crate::session::Session;
 
@@ -321,6 +321,66 @@ fn check_vars(session: &Session, vars: &[Var]) -> Result<(), Response> {
     }
 }
 
+/// Rejects an expression naming a variable at or past `vars` or a term at
+/// or past `terms`: the solver indexes its tables with these ids.
+fn check_exprs<'a>(
+    exprs: impl IntoIterator<Item = &'a SetExpr>,
+    vars: u64,
+    terms: usize,
+) -> Result<(), Response> {
+    for e in exprs {
+        match *e {
+            SetExpr::Var(v) if v.index() as u64 >= vars => {
+                return Err(Response::Err(format!("no such var v{}", v.index())));
+            }
+            SetExpr::Term(t) if t.index() >= terms => {
+                return Err(Response::Err(format!("no such term t{}", t.index())));
+            }
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
+/// Rejects a `term` request `solver` cannot intern: the argument count
+/// must match `con`'s arity, and every argument must name a live variable
+/// or term (staged `vars` do not count until `commit`).
+fn check_term(solver: &Solver, con: Con, args: &[SetExpr]) -> Result<(), Response> {
+    let sig = solver.cons().signature(con);
+    if args.len() != sig.arity() {
+        return Err(Response::Err(format!(
+            "constructor `{}` takes {} arguments, got {}",
+            sig.name(),
+            sig.arity(),
+            args.len()
+        )));
+    }
+    check_exprs(args, solver.graph_len() as u64, solver.terms().len())
+}
+
+/// Rejects a staged `group`/`edit` body naming a variable or term that
+/// will not exist when the batch applies: variables count the live ones
+/// plus those `pending` already stages, terms only the live ones.
+fn check_constraints(
+    solver: &Solver,
+    pending: &Delta,
+    constraints: &[(SetExpr, SetExpr)],
+) -> Result<(), Response> {
+    let staged: u64 = pending
+        .ops()
+        .iter()
+        .map(|op| match op {
+            DeltaOp::AddVars(n) => u64::from(*n),
+            _ => 0,
+        })
+        .sum();
+    check_exprs(
+        constraints.iter().flat_map(|(l, r)| [l, r]),
+        solver.graph_len() as u64 + staged,
+        solver.terms().len(),
+    )
+}
+
 /// Executes one request against `session`, staging mutations into
 /// `pending`. Pure dispatch: the transport loop and tests share it.
 pub fn execute(session: &mut Session, pending: &mut Delta, req: Request) -> Response {
@@ -343,6 +403,9 @@ pub fn execute(session: &mut Session, pending: &mut Delta, req: Request) -> Resp
             let Some(con) = found else {
                 return Response::Err(format!("unknown constructor `{con}`"));
             };
+            if let Err(e) = check_term(session.solver(), con, &args) {
+                return e;
+            }
             let t = session.term(con, args);
             Response::Ok(format!("t{}", t.index()))
         }
@@ -351,6 +414,9 @@ pub fn execute(session: &mut Session, pending: &mut Delta, req: Request) -> Resp
             Response::Ok(format!("staged {n} vars"))
         }
         Request::AddGroup(constraints) => {
+            if let Err(e) = check_constraints(session.solver(), pending, &constraints) {
+                return e;
+            }
             let n = constraints.len();
             pending.add_group(constraints);
             Response::Ok(format!("staged group ({n} constraints)"))
@@ -358,6 +424,9 @@ pub fn execute(session: &mut Session, pending: &mut Delta, req: Request) -> Resp
         Request::EditGroup(g, constraints) => {
             if session.group(g).is_none() {
                 return Response::Err(format!("no such group {g}"));
+            }
+            if let Err(e) = check_constraints(session.solver(), pending, &constraints) {
+                return e;
             }
             let n = constraints.len();
             pending.edit_group(g, constraints);
@@ -466,6 +535,11 @@ pub fn execute_fleet(fleet: &mut ShardManager, pending: &mut Delta, req: Request
             let Some(con) = found else {
                 return Response::Err(format!("unknown constructor `{con}`"));
             };
+            // Every shard interns the same terms and creates the same
+            // variables, so shard 0's tables are the fleet's.
+            if let Err(e) = check_term(fleet.session(0).solver(), con, &args) {
+                return e;
+            }
             let t = fleet.term(con, args);
             Response::Ok(format!("t{}", t.index()))
         }
@@ -474,6 +548,9 @@ pub fn execute_fleet(fleet: &mut ShardManager, pending: &mut Delta, req: Request
             Response::Ok(format!("staged {n} vars"))
         }
         Request::AddGroup(constraints) => {
+            if let Err(e) = check_constraints(fleet.session(0).solver(), pending, &constraints) {
+                return e;
+            }
             let n = constraints.len();
             pending.add_group(constraints);
             Response::Ok(format!("staged group ({n} constraints)"))
@@ -481,6 +558,9 @@ pub fn execute_fleet(fleet: &mut ShardManager, pending: &mut Delta, req: Request
         Request::EditGroup(g, constraints) => {
             if fleet.group(g).is_none() {
                 return Response::Err(format!("no such group {g}"));
+            }
+            if let Err(e) = check_constraints(fleet.session(0).solver(), pending, &constraints) {
+                return e;
             }
             let n = constraints.len();
             pending.edit_group(g, constraints);
@@ -910,6 +990,90 @@ mod tests {
         assert_eq!(got[3], "err no such var v99");
         assert_eq!(got[4], "ok {t2}", "the next valid query still answers");
         assert_eq!(got[5..], before[..], "stats unchanged");
+    }
+
+    /// Staging frames naming ids the solver cannot honour — a variable
+    /// neither live nor staged, an unknown term, a term argument count
+    /// that disagrees with the constructor's arity — get an error, stage
+    /// nothing, and leave the session answering exactly as before.
+    #[test]
+    fn session_rejects_unhonourable_staging() {
+        let mut session = crate::SessionBuilder::new().build();
+        let mut pending = Delta::new();
+        let mut exec = |r| execute(&mut session, &mut pending, r);
+        let setup = run_lines(
+            &mut exec,
+            &["con c", "con ref + -", "term c", "vars 2", "group t2 <= v0", "commit"],
+        );
+        assert!(setup.iter().all(|r| r.starts_with("ok")), "{setup:?}");
+        let before = run_lines(&mut exec, &["stats"]);
+        let got = run_lines(
+            &mut exec,
+            &[
+                "vars 2",
+                "group v5 <= v0",
+                "group t7 <= v0",
+                "edit g0 t2 <= v9",
+                "term ref",
+                "term ref v0 v7",
+                "term ref v0 t9",
+                "group v3 <= v0",
+                "commit",
+                "points-to v3",
+                "term ref v0 v1",
+                "stats",
+            ],
+        );
+        assert_eq!(got[0], "ok staged 2 vars");
+        assert_eq!(got[1], "err no such var v5");
+        assert_eq!(got[2], "err no such term t7");
+        assert_eq!(got[3], "err no such var v9");
+        assert_eq!(got[4], "err constructor `ref` takes 2 arguments, got 0");
+        assert_eq!(got[5], "err no such var v7");
+        assert_eq!(got[6], "err no such term t9");
+        assert_eq!(got[7], "ok staged group (1 constraints)", "staged vars count");
+        assert!(got[8].starts_with("ok committed path=monotone groups=[g1]"), "{}", got[8]);
+        assert_eq!(got[9], "ok {}", "v3 exists now, and no rejected group was staged");
+        assert_eq!(got[10], "ok t3", "the next valid term still interns");
+        let after: Vec<&str> = got[11].split_whitespace().collect();
+        let before: Vec<&str> = before[0].split_whitespace().collect();
+        assert_eq!(after[1], "constraints=2", "only the accepted group was added");
+        assert_eq!(before[1], "constraints=1");
+    }
+
+    /// The fleet counterpart, with the three frames that used to panic.
+    #[test]
+    fn fleet_rejects_unhonourable_staging() {
+        let mut fleet = ShardManager::new(&crate::SessionBuilder::new(), 2);
+        let mut pending = Delta::new();
+        let mut exec = |r| execute_fleet(&mut fleet, &mut pending, r);
+        let setup = run_lines(&mut exec, &["con c", "con ref + -", "term c"]);
+        assert!(setup.iter().all(|r| r.starts_with("ok")), "{setup:?}");
+        let before = run_lines(&mut exec, &["stats", "route 1 stats"]);
+        let got = run_lines(
+            &mut exec,
+            &[
+                "vars 4",
+                "group v4 <= v0",
+                "group t7 <= v0",
+                "term ref",
+                "commit",
+                "stats",
+                "route 1 stats",
+                "group t2 <= v0",
+                "commit",
+                "points-to v0",
+            ],
+        );
+        assert_eq!(got[0], "ok staged 4 vars");
+        assert_eq!(got[1], "err no such var v4");
+        assert_eq!(got[2], "err no such term t7");
+        assert_eq!(got[3], "err constructor `ref` takes 2 arguments, got 0");
+        assert!(got[4].starts_with("ok committed path=monotone groups=[]"), "{}", got[4]);
+        assert_eq!(got[5..7], before[..], "stats unchanged");
+        assert_eq!(got[7], "ok staged group (1 constraints)");
+        assert!(got[8].starts_with("ok committed"), "{}", got[8]);
+        assert_eq!(got[9], "ok {t2}", "the next valid request is answered");
     }
 
     #[test]

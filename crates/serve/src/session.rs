@@ -49,7 +49,6 @@ use bane_core::cycle::GraphRevision;
 use bane_core::graph::GraphCensus;
 use bane_core::least::LeastSolution;
 use bane_core::prelude::*;
-use bane_core::solset::SolSetKind;
 use bane_obs::{Counter, Phase, Recorder};
 use bane_par::{ParLeast, RevalidateOutcome};
 use bane_util::{FxHashMap, FxHashSet};
@@ -252,7 +251,6 @@ pub struct Session {
     solver: Solver,
     par: ParLeast,
     threads: usize,
-    kind: SolSetKind,
     ls: Option<LeastSolution>,
     revision: Option<GraphRevision>,
     last_outcome: RevalidateOutcome,
@@ -265,12 +263,11 @@ pub struct Session {
 impl Session {
     /// An empty session under `config`: the [`SessionBuilder::build`] body.
     ///
-    /// The least-solution backend is taken from `config.solset`; the worker
-    /// count defaults to 1 (see [`set_threads`](Session::set_threads)).
+    /// The worker count defaults to 1 (see
+    /// [`set_threads`](Session::set_threads)).
     ///
     /// [`SessionBuilder::build`]: crate::SessionBuilder::build
     pub(crate) fn empty(config: SolverConfig, mode: ApplyMode) -> Self {
-        let kind = config.solset;
         let mut solver = Solver::new(config);
         if mode == ApplyMode::Fast {
             solver.enable_provenance();
@@ -281,7 +278,6 @@ impl Session {
             solver,
             par: ParLeast::new(),
             threads: 1,
-            kind,
             ls: None,
             revision: None,
             last_outcome: RevalidateOutcome::default(),
@@ -302,8 +298,6 @@ impl Session {
         mode: ApplyMode,
     ) -> Self {
         let constraints = problem.split_off_constraints(0);
-        let config = *problem.config();
-        let kind = config.solset;
         // The problem's constraint list was just split off, so the adopted
         // solver replays registrations only — provenance can still attach.
         let mut solver = Solver::from_problem(problem.clone());
@@ -316,7 +310,6 @@ impl Session {
             groups: Vec::new(),
             par: ParLeast::new(),
             threads: threads.max(1),
-            kind,
             ls: None,
             revision: None,
             last_outcome: RevalidateOutcome::default(),
@@ -363,11 +356,6 @@ impl Session {
     /// The worker count used for revalidation.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The solution-set backend in use.
-    pub fn solset(&self) -> SolSetKind {
-        self.kind
     }
 
     /// Number of group slots ever created (including removed ones).
@@ -611,7 +599,7 @@ impl Session {
             };
         }
         let parts = self.solver.least_parts();
-        let outcome = self.par.run_revalidate(&parts, self.threads, self.kind, self.rec.as_ref());
+        let outcome = self.par.run_revalidate(&parts, self.threads, self.rec.as_ref());
         self.ls = Some(self.par.solution());
         self.revision = Some(now);
         outcome

@@ -5,8 +5,8 @@
 //! observables (statistics, census, least-solution buffers), because the
 //! session replays the identical canonical sequence.
 //!
-//! The matrix covers all three solution-set backends and worker counts
-//! 1/2/4/8 — none of which may change a single observable.
+//! The matrix covers worker counts 1/2/4/8 — none of which may change a
+//! single observable.
 
 use bane_core::prelude::*;
 use bane_serve::{Delta, GroupId, SessionBuilder};
@@ -19,8 +19,8 @@ const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// Drives `script` through a session step by step, checking each state
 /// against a from-scratch reference.
-fn check_script(script: &DeltaScript, kind: SolSetKind, threads: usize) {
-    let config = SolverConfig::if_online().with_solset(kind);
+fn check_script(script: &DeltaScript, threads: usize) {
+    let config = SolverConfig::if_online();
     let mut session = SessionBuilder::new().config(config).threads(threads).build();
     let mut bind = ScriptBindings::bind(&mut session, script);
 
@@ -84,7 +84,7 @@ fn check_script(script: &DeltaScript, kind: SolSetKind, threads: usize) {
             assert_eq!(
                 session.points_to(v),
                 ref_ls.get(rv),
-                "step {i} ({kind:?}, {threads} threads): set of {v:?} diverged"
+                "step {i} ({threads} threads): set of {v:?} diverged"
             );
         }
 
@@ -105,15 +105,13 @@ fn check_script(script: &DeltaScript, kind: SolSetKind, threads: usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random scripts, every backend, every thread count.
+    /// Random scripts, every thread count.
     #[test]
     fn incremental_equals_from_scratch(seed in 0u64..1_000_000, steps in 6usize..24) {
         let script = generate_delta_script(&DeltaScriptConfig::sized(steps, seed));
         script.validate().expect("generated script validates");
-        for kind in SolSetKind::ALL {
-            for threads in THREADS {
-                check_script(&script, kind, threads);
-            }
+        for threads in THREADS {
+            check_script(&script, threads);
         }
     }
 }
@@ -122,11 +120,9 @@ proptest! {
 /// runs (and exercises every step kind — the generator's distribution
 /// guarantees non-monotone steps at this length).
 #[test]
-fn long_mixed_script_all_backends() {
+fn long_mixed_script() {
     let script = generate_delta_script(&DeltaScriptConfig::sized(60, 0xba7e));
     script.validate().expect("script validates");
     assert!(script.has_nonmonotone(), "long script must exercise replay");
-    for kind in SolSetKind::ALL {
-        check_script(&script, kind, 4);
-    }
+    check_script(&script, 4);
 }

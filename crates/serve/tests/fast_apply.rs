@@ -11,8 +11,7 @@
 //! Solution sets, aliasing, and inconsistencies (as sets) are the
 //! contract.
 //!
-//! The matrix covers all three solution-set backends and worker counts
-//! 1/2/4/8, plus a directed collapse-invalidation scenario pinning the
+//! The matrix covers worker counts 1/2/4/8, plus a directed collapse-invalidation scenario pinning the
 //! replay fallback (`RevalidateOutcome::fell_back`, `serve.fast.fallback`).
 
 use bane_core::prelude::*;
@@ -37,8 +36,8 @@ fn error_set(s: &[Inconsistency]) -> Vec<String> {
 /// Drives `script` through a Fast session and an Exact twin, checking
 /// both against a from-scratch reference after every step. Returns
 /// `(repaired, fallbacks)` across the run.
-fn check_fast_script(script: &DeltaScript, kind: SolSetKind, threads: usize) -> (u64, u64) {
-    let config = SolverConfig::if_online().with_solset(kind);
+fn check_fast_script(script: &DeltaScript, threads: usize) -> (u64, u64) {
+    let config = SolverConfig::if_online();
     let mut fast = SessionBuilder::new()
         .config(config)
         .threads(threads)
@@ -105,7 +104,7 @@ fn check_fast_script(script: &DeltaScript, kind: SolSetKind, threads: usize) -> 
             assert_eq!(
                 fast.points_to(v),
                 ref_ls.get(rv),
-                "step {i} ({kind:?}, {threads} threads, repaired={}): set of {v:?} diverged \
+                "step {i} ({threads} threads, repaired={}): set of {v:?} diverged \
                  from scratch",
                 report.fast_repaired,
             );
@@ -113,7 +112,7 @@ fn check_fast_script(script: &DeltaScript, kind: SolSetKind, threads: usize) -> 
             assert_eq!(
                 fast.points_to(v),
                 ev.as_slice(),
-                "step {i} ({kind:?}, {threads} threads): Fast and Exact sets diverged at {v:?}"
+                "step {i} ({threads} threads): Fast and Exact sets diverged at {v:?}"
             );
         }
         assert_eq!(
@@ -140,15 +139,13 @@ fn check_fast_script(script: &DeltaScript, kind: SolSetKind, threads: usize) -> 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random edit-heavy scripts, every backend, every thread count.
+    /// Random edit-heavy scripts, every thread count.
     #[test]
     fn fast_apply_equals_replay_and_scratch(seed in 0u64..1_000_000, steps in 8usize..24) {
         let script = generate_delta_script(&DeltaScriptConfig::edit_heavy(steps, seed, 2.0));
         script.validate().expect("generated script validates");
-        for kind in SolSetKind::ALL {
-            for threads in THREADS {
-                check_fast_script(&script, kind, threads);
-            }
+        for threads in THREADS {
+            check_fast_script(&script, threads);
         }
     }
 }
@@ -161,12 +158,8 @@ fn long_edit_heavy_script_repairs_in_place() {
     let script = generate_delta_script(&DeltaScriptConfig::edit_heavy(60, 0xfa57, 2.0));
     script.validate().expect("script validates");
     assert!(script.has_nonmonotone(), "edit-heavy script must retract");
-    let mut total_repaired = 0;
-    for kind in SolSetKind::ALL {
-        let (repaired, _) = check_fast_script(&script, kind, 4);
-        total_repaired += repaired;
-    }
-    assert!(total_repaired > 0, "the fast path never fired across the whole suite");
+    let (repaired, _) = check_fast_script(&script, 4);
+    assert!(repaired > 0, "the fast path never fired across the whole script");
 }
 
 /// The directed collapse-invalidation scenario: a removal that breaks a

@@ -8,8 +8,7 @@
 //! Scripts are generated with `partitions = 4`, so the same script routes
 //! cleanly over S ∈ {1, 2, 4} shards (ownership is modular:
 //! `v mod S = (v mod 4) mod S` whenever `S` divides 4). The matrix covers
-//! all three solution-set backends and worker counts 1/2/4/8 — none of
-//! which may change a single observable.
+//! worker counts 1/2/4/8 — none of which may change a single observable.
 //!
 //! The tail of every check publishes the fleet into a [`SnapshotHub`] and
 //! replays the queries against the lock-free [`HubView`], pinning the
@@ -55,10 +54,10 @@ fn intersects(a: &[TermId], b: &[TermId]) -> bool {
 /// Drives `script` through an `shards`-wide fleet, an unsharded session,
 /// and per-shard reference sessions, checking equivalence at every step
 /// and hub-served equivalence at the end.
-fn check_fleet(script: &DeltaScript, kind: SolSetKind, threads: usize, shards: usize) {
+fn check_fleet(script: &DeltaScript, threads: usize, shards: usize) {
     assert_eq!(script.partitions as usize % shards, 0, "S must divide the partition count");
     let builder =
-        SessionBuilder::new().config(SolverConfig::if_online().with_solset(kind)).threads(threads);
+        SessionBuilder::new().config(SolverConfig::if_online()).threads(threads);
     let mut fleet = ShardManager::new(&builder, shards);
     let mut single = builder.build();
     let mut refs: Vec<Session> = (0..shards).map(|_| builder.build()).collect();
@@ -123,7 +122,7 @@ fn check_fleet(script: &DeltaScript, kind: SolSetKind, threads: usize, shards: u
         }
 
         let freport = fleet.apply(fd).unwrap_or_else(|e| {
-            panic!("step {i} ({kind:?}, {shards} shards): fleet rejected a partitioned script: {e}")
+            panic!("step {i} ({shards} shards): fleet rejected a partitioned script: {e}")
         });
         let sreport = single.apply(sd);
         assert_eq!(freport.monotone, sreport.monotone, "step {i}: path classification");
@@ -156,7 +155,7 @@ fn check_fleet(script: &DeltaScript, kind: SolSetKind, threads: usize, shards: u
             assert_eq!(
                 fleet.points_to(v),
                 single.points_to(v).to_vec().as_slice(),
-                "step {i} ({kind:?}, {threads} threads, {shards} shards): set of {v:?} diverged"
+                "step {i} ({threads} threads, {shards} shards): set of {v:?} diverged"
             );
         }
         for pair in bind.vars.windows(2).step_by(3) {
@@ -185,7 +184,7 @@ fn check_fleet(script: &DeltaScript, kind: SolSetKind, threads: usize, shards: u
     // (3) The published fleet serves the same answers as a single-session
     // snapshot, through the lock-free hub view.
     let dir = std::env::temp_dir().join(format!(
-        "bane-fleet-eq-{}-{kind:?}-{threads}t-{shards}s",
+        "bane-fleet-eq-{}-{threads}t-{shards}s",
         std::process::id()
     ));
     std::fs::create_dir_all(&dir).unwrap();
@@ -219,30 +218,26 @@ fn check_fleet(script: &DeltaScript, kind: SolSetKind, threads: usize, shards: u
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random partitioned scripts, every backend, every shard width.
+    /// Random partitioned scripts, every shard width.
     #[test]
     fn fleet_equals_unsharded(seed in 0u64..1_000_000, steps in 6usize..18) {
         let script = generate_delta_script(&DeltaScriptConfig::sharded(steps, seed, 4));
         script.validate().expect("generated script validates");
-        for kind in SolSetKind::ALL {
-            for shards in SHARDS {
-                check_fleet(&script, kind, 2, shards);
-            }
+        for shards in SHARDS {
+            check_fleet(&script, 2, shards);
         }
     }
 }
 
-/// A fixed long adversarial script across the full backend × shard matrix,
+/// A fixed long adversarial script across every shard width,
 /// pinned outside proptest so it always runs.
 #[test]
-fn long_partitioned_script_all_backends_all_widths() {
+fn long_partitioned_script_all_widths() {
     let script = generate_delta_script(&DeltaScriptConfig::sharded(36, 0xf1ee7, 4));
     script.validate().expect("script validates");
     assert!(script.has_nonmonotone(), "long script must exercise replay");
-    for kind in SolSetKind::ALL {
-        for shards in SHARDS {
-            check_fleet(&script, kind, 4, shards);
-        }
+    for shards in SHARDS {
+        check_fleet(&script, 4, shards);
     }
 }
 
@@ -254,7 +249,7 @@ fn thread_matrix_changes_nothing() {
     let script = generate_delta_script(&DeltaScriptConfig::sharded(24, 0xba9e, 4));
     script.validate().expect("script validates");
     for threads in THREADS {
-        check_fleet(&script, SolSetKind::SortedSpan, threads, 2);
-        check_fleet(&script, SolSetKind::Hybrid, threads, 4);
+        check_fleet(&script, threads, 2);
+        check_fleet(&script, threads, 4);
     }
 }

@@ -28,11 +28,7 @@ use crate::format::{
 /// snapshot that pass froze, as a complete snapshot file image.
 ///
 /// Takes `&mut` because [`Solver::least_solution`] does; call after
-/// [`Solver::solve`] has converged. The emitted bytes are identical for
-/// every [`SolSetKind`](bane_core::solset::SolSetKind) backend, because the
-/// canonical [`LeastSolution`] is (that is the backends' byte-identity
-/// contract, and the round-trip property tests re-assert it through this
-/// writer).
+/// [`Solver::solve`] has converged.
 pub fn encode_solver(solver: &mut Solver) -> Result<Vec<u8>, SnapError> {
     let ls = solver.least_solution();
     encode_parts(solver.config().form, solver.csr_snapshot(), &ls, solver.terms(), solver.cons())

@@ -1,5 +1,5 @@
-//! Write → load → query equals the in-memory `LeastSolution`, for every
-//! solution-set backend, both graph forms, and both load paths — plus
+//! Write → load → query equals the in-memory `LeastSolution`, for both
+//! graph forms and both load paths — plus
 //! strict rejection of corrupted and truncated files.
 
 use bane_core::least::CsrSnapshot;
@@ -11,8 +11,6 @@ use bane_snap::{
 use bane_synth::gen::{self, GenConfig};
 use bane_util::idx::Idx;
 use proptest::prelude::*;
-
-const BACKENDS: [SolSetKind; 3] = [SolSetKind::SortedSpan, SolSetKind::Bitmap, SolSetKind::Hybrid];
 
 fn solved_solver(seed: u64, config: SolverConfig) -> Solver {
     let program = gen::generate(&GenConfig::sized(600, seed));
@@ -47,27 +45,17 @@ fn assert_index_matches(index: &QueryIndex, ls: &LeastSolution) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The headline round-trip property: for random programs, every
-    /// backend and both forms produce a snapshot whose loaded answers
-    /// equal the in-memory least solution — and all backends produce the
-    /// *same bytes*, because the canonical `LeastSolution` is
-    /// byte-identical across them.
+    /// The headline round-trip property: for random programs, both forms
+    /// produce a snapshot whose loaded answers equal the in-memory least
+    /// solution.
     #[test]
     fn write_load_query_equals_live_least_solution(seed in 0u64..2000) {
         for base in [SolverConfig::if_online(), SolverConfig::sf_online()] {
-            let mut images: Vec<Vec<u8>> = Vec::new();
-            for kind in BACKENDS {
-                let mut solver = solved_solver(seed, base.with_solset(kind));
-                let ls = solver.least_solution();
-                let bytes = encode_solver(&mut solver).unwrap();
-                let index = QueryIndex::from_bytes(&bytes).unwrap();
-                assert_index_matches(&index, &ls);
-                images.push(bytes);
-            }
-            prop_assert!(
-                images.windows(2).all(|w| w[0] == w[1]),
-                "snapshot bytes differ across solution-set backends"
-            );
+            let mut solver = solved_solver(seed, base);
+            let ls = solver.least_solution();
+            let bytes = encode_solver(&mut solver).unwrap();
+            let index = QueryIndex::from_bytes(&bytes).unwrap();
+            assert_index_matches(&index, &ls);
         }
     }
 }
@@ -86,32 +74,30 @@ fn encode_with_fresh_csr(solver: &mut Solver) -> Vec<u8> {
 }
 
 /// `encode_solver` serializes the CSR its own least-solution pass froze.
-/// That must equal a freshly built CSR for both forms and every backend —
+/// That must equal a freshly built CSR for both forms —
 /// also after the system grew and was solved again, so a CSR left over
 /// from the first encode cannot leak into the second.
 #[test]
 fn encode_solver_matches_a_freshly_built_csr() {
     for base in [SolverConfig::if_online(), SolverConfig::sf_online()] {
-        for kind in BACKENDS {
-            let mut solver = solved_solver(5, base.with_solset(kind));
-            let first = encode_solver(&mut solver).unwrap();
-            assert_eq!(first, encode_with_fresh_csr(&mut solver), "{base:?} {kind:?}");
+        let mut solver = solved_solver(5, base);
+        let first = encode_solver(&mut solver).unwrap();
+        assert_eq!(first, encode_with_fresh_csr(&mut solver), "{base:?}");
 
-            // New sources and edges among existing variables, plus a fresh
-            // variable so the variable count moves too.
-            let n = solver.least_parts().graph.len();
-            let c = solver.register_nullary("late");
-            let t = solver.term(c, vec![]);
-            let x = solver.fresh_var();
-            solver.add(t, x);
-            solver.add(x, Var::new(0));
-            solver.add(Var::new(n / 2), Var::new(n - 1));
-            solver.add(Var::new(n - 1), Var::new(1));
-            solver.solve();
-            let second = encode_solver(&mut solver).unwrap();
-            assert_ne!(first, second);
-            assert_eq!(second, encode_with_fresh_csr(&mut solver), "{base:?} {kind:?} regrown");
-        }
+        // New sources and edges among existing variables, plus a fresh
+        // variable so the variable count moves too.
+        let n = solver.least_parts().graph.len();
+        let c = solver.register_nullary("late");
+        let t = solver.term(c, vec![]);
+        let x = solver.fresh_var();
+        solver.add(t, x);
+        solver.add(x, Var::new(0));
+        solver.add(Var::new(n / 2), Var::new(n - 1));
+        solver.add(Var::new(n - 1), Var::new(1));
+        solver.solve();
+        let second = encode_solver(&mut solver).unwrap();
+        assert_ne!(first, second);
+        assert_eq!(second, encode_with_fresh_csr(&mut solver), "{base:?} regrown");
     }
 }
 

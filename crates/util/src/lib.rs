@@ -34,7 +34,6 @@ pub mod cast;
 pub mod hash;
 pub mod idx;
 pub mod rng;
-pub mod solset;
 
 pub use bitset::{BitSet, EpochSet, EpochSetImpl, EpochStamp};
 pub use hash::{FxHashMap, FxHashSet, FxHasher};

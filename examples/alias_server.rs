@@ -7,8 +7,8 @@
 //! Run the walkthrough with `cargo run --release --example alias_server`.
 //!
 //! With `--check` the example becomes a verification gate (used by CI's
-//! snap-roundtrip job): it writes a povray-2.2 snapshot under every
-//! solution-set backend, reloads each cold, diffs **all** query answers —
+//! snap-roundtrip job): it writes a povray-2.2 snapshot, reloads it cold,
+//! diffs **all** query answers —
 //! `points_to` and `reachable_sources` for every variable, `alias` over a
 //! sample grid — against the live solver's least solution, and exits
 //! nonzero on any mismatch. `--scale <f>` adjusts the synthetic suite
@@ -79,7 +79,7 @@ fn snapshot_path(tag: &str) -> std::path::PathBuf {
     dir.join(format!("povray-{tag}-{}.snap", std::process::id()))
 }
 
-/// The demo: one backend, narrated steps, a handful of printed answers and
+/// The demo: narrated steps, a handful of printed answers and
 /// a small multi-threaded throughput figure.
 fn run_walkthrough(scale: f64) {
     println!("== 1. solve ==");
@@ -275,56 +275,51 @@ fn run_reload(scale: f64) {
     let _ = std::fs::remove_file(&path);
 }
 
-/// The gate: every backend, full query diff vs the live solver, nonzero
-/// exit on any divergence.
+/// The gate: full query diff vs the live solver, nonzero exit on any
+/// divergence.
 fn run_check(scale: f64) {
     let program = povray(scale);
-    let mut failures = 0usize;
-    for kind in [SolSetKind::SortedSpan, SolSetKind::Bitmap, SolSetKind::Hybrid] {
-        let config = SolverConfig::if_online().with_solset(kind);
-        let mut analysis = andersen::analyze(&program, config);
-        let live = analysis.solver.least_solution();
-        let path = snapshot_path(&format!("check-{kind:?}"));
-        write_solver(&mut analysis.solver, &path, None).expect("write snapshot");
-        drop(analysis);
+    let mut analysis = andersen::analyze(&program, SolverConfig::if_online());
+    let live = analysis.solver.least_solution();
+    let path = snapshot_path("check");
+    write_solver(&mut analysis.solver, &path, None).expect("write snapshot");
+    drop(analysis);
 
-        let index = QueryIndex::load_with(&path, LoadMode::Auto, None).expect("load snapshot");
-        let n = index.var_count();
-        assert_eq!(n, live.len(), "{kind:?}: variable counts diverged");
-        let mismatches = AtomicUsize::new(0);
-        let threads = 4;
-        let pool = Pool::new(threads);
-        let (index, live, mismatches) = (&index, &live, &mismatches);
-        pool.broadcast(|w| {
-            let (lo, hi) = chunk_range(n, threads, w);
-            let mut scratch = QueryScratch::new();
-            let mut reach = Vec::new();
-            for i in lo..hi {
-                let v = Var::new(i);
-                let want = live.get(v);
-                if index.points_to(v) != want {
-                    mismatches.fetch_add(1, Ordering::Relaxed);
-                }
-                index.reachable_sources_with(v, &mut scratch, &mut reach);
-                if reach != want {
-                    mismatches.fetch_add(1, Ordering::Relaxed);
-                }
-                let partner = Var::new((i * 7919 + w) % n);
-                let live_alias =
-                    want.iter().any(|t| live.get(partner).binary_search(t).is_ok());
-                if index.alias(v, partner) != live_alias {
-                    mismatches.fetch_add(1, Ordering::Relaxed);
-                }
+    let index = QueryIndex::load_with(&path, LoadMode::Auto, None).expect("load snapshot");
+    let n = index.var_count();
+    assert_eq!(n, live.len(), "variable counts diverged");
+    let mismatches = AtomicUsize::new(0);
+    let threads = 4;
+    let pool = Pool::new(threads);
+    let (index, live, mismatches) = (&index, &live, &mismatches);
+    pool.broadcast(|w| {
+        let (lo, hi) = chunk_range(n, threads, w);
+        let mut scratch = QueryScratch::new();
+        let mut reach = Vec::new();
+        for i in lo..hi {
+            let v = Var::new(i);
+            let want = live.get(v);
+            if index.points_to(v) != want {
+                mismatches.fetch_add(1, Ordering::Relaxed);
             }
-        });
-        let bad = mismatches.load(Ordering::Relaxed);
-        println!(
-            "check {kind:?}: {n} vars × (points_to + reachable_sources + alias) — {}",
-            if bad == 0 { "ok".to_string() } else { format!("{bad} MISMATCHES") }
-        );
-        failures += bad;
-        let _ = std::fs::remove_file(&path);
-    }
+            index.reachable_sources_with(v, &mut scratch, &mut reach);
+            if reach != want {
+                mismatches.fetch_add(1, Ordering::Relaxed);
+            }
+            let partner = Var::new((i * 7919 + w) % n);
+            let live_alias =
+                want.iter().any(|t| live.get(partner).binary_search(t).is_ok());
+            if index.alias(v, partner) != live_alias {
+                mismatches.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    });
+    let failures = mismatches.load(Ordering::Relaxed);
+    println!(
+        "check: {n} vars × (points_to + reachable_sources + alias) — {}",
+        if failures == 0 { "ok".to_string() } else { format!("{failures} MISMATCHES") }
+    );
+    let _ = std::fs::remove_file(&path);
     if failures > 0 {
         eprintln!("alias_server --check: {failures} mismatches");
         std::process::exit(1);
