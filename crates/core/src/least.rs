@@ -331,6 +331,78 @@ pub fn merge_sorted_dedup(a: &[TermId], b: &[TermId], out: &mut Vec<TermId>) {
     }
 }
 
+/// Reusable ping-pong buffers for [`union_runs`].
+#[derive(Clone, Debug, Default)]
+pub struct MergeScratch {
+    acc: Vec<TermId>,
+    buf_b: Vec<TermId>,
+    bounds_a: Vec<(u32, u32)>,
+    bounds_b: Vec<(u32, u32)>,
+}
+
+/// Appends the union of `total` sorted, internally distinct runs
+/// (`input(0)`, …, `input(total - 1)`) to `out`, sorted and distinct.
+///
+/// Iterated pairwise merging with [`merge_sorted_dedup`], `O(total
+/// elements · log runs)` with no sort: level 0 reads the inputs, middle
+/// levels ping-pong between the scratch buffers, and the last merge writes
+/// straight into `out`. The sequential pass and `bane-par`'s evaluator
+/// both build every multi-input set here, which is what keeps their bytes
+/// identical.
+pub fn union_runs<'a>(
+    total: usize,
+    input: impl Fn(usize) -> &'a [TermId],
+    m: &mut MergeScratch,
+    out: &mut Vec<TermId>,
+) {
+    match total {
+        0 => {}
+        1 => out.extend_from_slice(input(0)),
+        2 => merge_sorted_dedup(input(0), input(1), out),
+        _ => {
+            m.acc.clear();
+            m.bounds_a.clear();
+            let mut i = 0;
+            while i < total {
+                let start = m.acc.len() as u32;
+                if i + 1 < total {
+                    merge_sorted_dedup(input(i), input(i + 1), &mut m.acc);
+                    i += 2;
+                } else {
+                    m.acc.extend_from_slice(input(i));
+                    i += 1;
+                }
+                m.bounds_a.push((start, m.acc.len() as u32));
+            }
+            // Three or more inputs leave at least two runs at every level.
+            while m.bounds_a.len() > 2 {
+                m.buf_b.clear();
+                m.bounds_b.clear();
+                for pair in m.bounds_a.chunks(2) {
+                    let start = m.buf_b.len() as u32;
+                    match *pair {
+                        [(s1, e1), (s2, e2)] => merge_sorted_dedup(
+                            &m.acc[s1 as usize..e1 as usize],
+                            &m.acc[s2 as usize..e2 as usize],
+                            &mut m.buf_b,
+                        ),
+                        [(s, e)] => m.buf_b.extend_from_slice(&m.acc[s as usize..e as usize]),
+                        _ => unreachable!("chunks of two"),
+                    }
+                    m.bounds_b.push((start, m.buf_b.len() as u32));
+                }
+                std::mem::swap(&mut m.acc, &mut m.buf_b);
+                std::mem::swap(&mut m.bounds_a, &mut m.bounds_b);
+            }
+            let [(s1, e1), (s2, e2)] = m.bounds_a[..] else {
+                unreachable!("three or more inputs reduce to two runs")
+            };
+            let (a, b) = (&m.acc[s1 as usize..e1 as usize], &m.acc[s2 as usize..e2 as usize]);
+            merge_sorted_dedup(a, b, out);
+        }
+    }
+}
+
 /// Skewed-size merge: for each element of `small`, exponential search
 /// locates its insertion point in the unconsumed tail of `big`, and the run
 /// of smaller `big` elements is bulk-copied.
@@ -519,9 +591,9 @@ impl Solver {
         for i in 0..n {
             rep.push(fwd.find_const(Var::new(i)));
         }
-        // All sets share one arena; `acc` is the only working buffer and is
-        // reused across variables, so the pass allocates O(1) vectors total
-        // instead of one `Vec` per variable.
+        // All sets share one arena; `acc` and the merge scratch are the only
+        // working buffers and are reused across variables, so the pass
+        // allocates O(1) vectors total instead of one `Vec` per variable.
         let mut spans: Vec<(u32, u32)> = vec![(0, 0); n];
         let mut arena: Vec<TermId> = Vec::new();
         let mut acc: Vec<TermId> = Vec::new();
@@ -567,12 +639,9 @@ impl Solver {
             }
             Form::Inductive => {
                 // Reusable per-variable buffers: the canonical predecessor
-                // spans feeding this variable and the ping-pong state of
-                // the pairwise merge.
+                // spans feeding this variable and the merge state.
                 let mut runs: Vec<(u32, u32)> = Vec::new();
-                let mut buf_b: Vec<TermId> = Vec::new();
-                let mut bounds_a: Vec<(u32, u32)> = Vec::new();
-                let mut bounds_b: Vec<(u32, u32)> = Vec::new();
+                let mut scratch = MergeScratch::default();
                 for &v in &reps {
                     let srcs = csr.srcs(v);
                     runs.clear();
@@ -596,13 +665,9 @@ impl Solver {
                             spans[v.index()] = (start, start + (e - s));
                         }
                         _ => {
-                            // Two or more input runs: iterated pairwise
-                            // merging, O(total · log runs) with no sort.
-                            // Level 0 reads straight out of the arena (and
-                            // `srcs`); later levels ping-pong between two
-                            // scratch buffers.
+                            // Two or more input runs read out of the arena
+                            // (and `srcs`), so they merge into `acc` first.
                             let extra = usize::from(!srcs.is_empty());
-                            let total = runs.len() + extra;
                             let input = |i: usize| -> &[TermId] {
                                 if i < extra {
                                     srcs
@@ -612,44 +677,7 @@ impl Solver {
                                 }
                             };
                             acc.clear();
-                            bounds_a.clear();
-                            let mut i = 0;
-                            while i < total {
-                                let start = acc.len() as u32;
-                                if i + 1 < total {
-                                    merge_sorted_dedup(input(i), input(i + 1), &mut acc);
-                                    i += 2;
-                                } else {
-                                    acc.extend_from_slice(input(i));
-                                    i += 1;
-                                }
-                                bounds_a.push((start, acc.len() as u32));
-                            }
-                            while bounds_a.len() > 1 {
-                                buf_b.clear();
-                                bounds_b.clear();
-                                let mut i = 0;
-                                while i < bounds_a.len() {
-                                    let start = buf_b.len() as u32;
-                                    if i + 1 < bounds_a.len() {
-                                        let (s1, e1) = bounds_a[i];
-                                        let (s2, e2) = bounds_a[i + 1];
-                                        merge_sorted_dedup(
-                                            &acc[s1 as usize..e1 as usize],
-                                            &acc[s2 as usize..e2 as usize],
-                                            &mut buf_b,
-                                        );
-                                        i += 2;
-                                    } else {
-                                        let (s, e) = bounds_a[i];
-                                        buf_b.extend_from_slice(&acc[s as usize..e as usize]);
-                                        i += 1;
-                                    }
-                                    bounds_b.push((start, buf_b.len() as u32));
-                                }
-                                std::mem::swap(&mut acc, &mut buf_b);
-                                std::mem::swap(&mut bounds_a, &mut bounds_b);
-                            }
+                            union_runs(runs.len() + extra, input, &mut scratch, &mut acc);
                             append(&acc, &mut arena, &mut spans, v);
                         }
                     }

@@ -1,15 +1,16 @@
 //! Per-group constraint provenance (the `fast_apply` side-table).
 //!
 //! A solver serving non-monotone deltas needs to answer, per graph fact,
-//! "which constraint groups does this fact's derivation depend on?". Tagging
-//! every edge with a full group *set* would be ruinously wide, so provenance
-//! is interned: a [`ProvId`] is a handle into a [`ProvTable`] that stores
-//! each distinct sorted group-id set exactly once. Edges carry a 4-byte
+//! "which constraint groups does this fact's derivation depend on?". A
+//! fact's provenance is a [`ProvId`], a node of an append-only union DAG
+//! ([`ProvTable`]): either the leaf of one *atom* (the group tag a
+//! constraint entered under) or the union of two older ids. The set a node
+//! stands for is the atoms of the leaves below it. Edges carry a 4-byte
 //! `ProvId` in side arrays kept positionally parallel to the adjacency
 //! lists (see `Solver`'s prov mirrors), not a per-edge enum.
 //!
 //! Derived facts union the provenance of their premises
-//! ([`ProvTable::union`], memoized pairwise), so the invariant the
+//! ([`ProvTable::union`], one appended node), so the invariant the
 //! `fast_apply` retraction relies on is *transitive*: if group `g` is not in
 //! `prov(e)`, then the derivation of `e` that the solver recorded used no
 //! fact of `g` anywhere in its tree, and `e` survives retracting `g`
@@ -21,25 +22,30 @@
 //! Unions are lazy. A queued constraint carries its provenance as an
 //! unresolved *pair* of ids whose union is the constraint's provenance; most
 //! queued constraints turn out redundant, and their pair is dropped without
-//! ever being interned. The solver resolves a pair to one interned set only
-//! where a concrete set is recorded: when the constraint stores a new
+//! ever appending a node. The solver resolves a pair to one id only where a
+//! concrete provenance is recorded: when the constraint stores a new
 //! adjacency entry, when it justifies a cycle collapse, and when it records
-//! an inconsistency. Union is associative and commutative and saturation
-//! depends only on the final set's width, so every recorded set is the one
-//! an eager union at queue time would have produced.
+//! an inconsistency.
+//!
+//! Nothing is deduplicated: two nodes may stand for the same set, and the
+//! table grows by at most one node per recorded union. Membership is never
+//! asked of a single id. A retraction instead builds one
+//! [`RetractionMask`] over the whole table: every node's children are
+//! older than the node, so one ascending pass settles whether each node's
+//! set meets the retracted atoms, and each recorded id is then a lookup.
+//! A mask describes the table as it was when the mask was built; ids
+//! appended later are outside it and must not be asked about.
 //!
 //! Two sentinel ids bound the lattice: [`ProvTable::EMPTY`] (no group — facts
 //! added outside any group, never retracted) and [`ProvTable::TOP`]
-//! ("depends on everything" — the saturation value for sets wider than
-//! [`MAX_PROV_GROUPS`] and for derivations whose premises cannot be
-//! attributed exactly, such as offline cycle-elimination sweeps). `TOP`
-//! intersects every retraction, forcing the conservative fallback path.
+//! ("depends on everything" — derivations whose premises cannot be
+//! attributed, such as offline cycle-elimination sweeps and chain steps the
+//! search cannot recover). `TOP` meets every non-empty retraction, forcing
+//! the conservative fallback path.
 
-use std::hash::{Hash, Hasher};
+use bane_util::FxHashMap;
 
-use bane_util::{FxHashMap, FxHasher};
-
-/// Interned handle to a sorted set of group ids in a [`ProvTable`].
+/// Handle to a node of a [`ProvTable`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProvId(u32);
 
@@ -50,38 +56,18 @@ impl ProvId {
     }
 }
 
-/// Group-set width beyond which a provenance saturates to
-/// [`ProvTable::TOP`]. Keeps pathological unions (a fact downstream of
-/// hundreds of groups) from blowing up table memory; saturation is sound —
-/// it only widens the set of retractions that fall back to replay.
-pub const MAX_PROV_GROUPS: usize = 64;
+/// First field of a leaf node (a union node's children are always older
+/// ids, so never this value).
+const LEAF: u32 = u32::MAX;
 
-/// End of a collision chain in [`ProvTable::chain`].
-const NIL: u32 = u32::MAX;
-
-/// The content hash interned sets are looked up by.
-fn content_hash(sorted: &[u32]) -> u64 {
-    let mut h = FxHasher::default();
-    sorted.hash(&mut h);
-    h.finish()
-}
-
-/// The provenance interner: each distinct sorted group-id set stored once.
+/// The provenance union DAG: leaves for atoms, one node per recorded union.
 #[derive(Clone, Debug)]
 pub struct ProvTable {
-    /// Concatenated sorted group ids; `spans[p]` delimits set `p`.
-    ids: Vec<u32>,
-    spans: Vec<(u32, u32)>,
-    /// Content hash → the most recently interned set with that hash. The
-    /// sets themselves are the only copy of their members: a hash hit is
-    /// confirmed by comparing member slices in `ids`.
-    lookup: FxHashMap<u64, ProvId>,
-    /// Parallel to `spans`: the next older set with the same content hash,
-    /// or [`NIL`].
-    chain: Vec<u32>,
-    /// Pairwise union results, keyed with the smaller id first.
-    union_memo: FxHashMap<(ProvId, ProvId), ProvId>,
-    scratch: Vec<u32>,
+    /// Node `i` is `(LEAF, atom)` or the union `(a, b)` of ids `a, b < i`.
+    /// The two sentinel slots are never read as nodes.
+    nodes: Vec<(u32, u32)>,
+    /// Atom → its leaf.
+    leaves: FxHashMap<u32, ProvId>,
 }
 
 impl Default for ProvTable {
@@ -92,70 +78,39 @@ impl Default for ProvTable {
 
 impl ProvTable {
     /// The empty set: facts attributed to no group. Identity of
-    /// [`union`](ProvTable::union); never intersects a retraction.
+    /// [`union`](ProvTable::union); never meets a retraction.
     pub const EMPTY: ProvId = ProvId(0);
-    /// The saturated "all groups" set. Absorbing under union; intersects
-    /// every retraction.
+    /// The "all groups" set. Absorbing under union; meets every non-empty
+    /// retraction.
     pub const TOP: ProvId = ProvId(1);
 
     /// A table holding only the two sentinels.
     pub fn new() -> Self {
-        let mut t = ProvTable {
-            ids: Vec::new(),
-            spans: vec![(0, 0); 2],
-            lookup: FxHashMap::default(),
-            chain: vec![NIL; 2],
-            union_memo: FxHashMap::default(),
-            scratch: Vec::new(),
-        };
-        // Slot 0 is EMPTY and slot 1 is TOP. Only EMPTY is reachable
-        // through `lookup`: TOP is not a concrete id list.
-        t.lookup.insert(content_hash(&[]), Self::EMPTY);
-        t
+        ProvTable { nodes: vec![(LEAF, LEAF); 2], leaves: FxHashMap::default() }
     }
 
-    /// Number of interned sets (including the sentinels).
+    /// Number of nodes (including the sentinels).
     pub fn len(&self) -> usize {
-        self.spans.len()
+        self.nodes.len()
     }
 
     /// Whether only the sentinels exist.
     pub fn is_empty(&self) -> bool {
-        self.spans.len() <= 2
+        self.nodes.len() <= 2
     }
 
-    /// The interned singleton `{group}`.
-    pub fn singleton(&mut self, group: u32) -> ProvId {
-        self.intern_sorted(&[group])
+    /// The leaf of `atom` (one per atom, appended on first use).
+    pub fn singleton(&mut self, atom: u32) -> ProvId {
+        let nodes = &mut self.nodes;
+        *self.leaves.entry(atom).or_insert_with(|| {
+            nodes.push((LEAF, atom));
+            ProvId(nodes.len() as u32 - 1)
+        })
     }
 
-    /// The members of `p`, sorted. `TOP` reports an empty slice — callers
-    /// must branch on [`is_top`](ProvTable::is_top) first when it matters.
-    pub fn members(&self, p: ProvId) -> &[u32] {
-        let (lo, hi) = self.spans[p.0 as usize];
-        &self.ids[lo as usize..hi as usize]
-    }
-
-    /// Whether `p` is the saturated sentinel.
-    pub fn is_top(&self, p: ProvId) -> bool {
-        p == Self::TOP
-    }
-
-    /// Whether group `g` is in `p` (`TOP` contains everything).
-    pub fn contains(&self, p: ProvId, g: u32) -> bool {
-        p == Self::TOP || self.members(p).binary_search(&g).is_ok()
-    }
-
-    /// Whether `p` intersects the sorted-or-not id list `groups`.
-    pub fn intersects(&self, p: ProvId, groups: &[u32]) -> bool {
-        if p == Self::TOP {
-            return !groups.is_empty();
-        }
-        groups.iter().any(|&g| self.contains(p, g))
-    }
-
-    /// The interned union of `a` and `b` (memoized; saturates to
-    /// [`TOP`](ProvTable::TOP) past [`MAX_PROV_GROUPS`]).
+    /// The union of `a` and `b`: `a` itself when the ids are equal, the
+    /// other id when one is [`EMPTY`](ProvTable::EMPTY),
+    /// [`TOP`](ProvTable::TOP) when either is, and otherwise one new node.
     pub fn union(&mut self, a: ProvId, b: ProvId) -> ProvId {
         if a == b || b == Self::EMPTY {
             return a;
@@ -166,68 +121,62 @@ impl ProvTable {
         if a == Self::TOP || b == Self::TOP {
             return Self::TOP;
         }
-        let key = if a <= b { (a, b) } else { (b, a) };
-        if let Some(&hit) = self.union_memo.get(&key) {
-            return hit;
-        }
-        let mut merged = std::mem::take(&mut self.scratch);
-        merged.clear();
-        {
-            let (xs, ys) = (self.members(a), self.members(b));
-            let (mut i, mut j) = (0, 0);
-            while i < xs.len() && j < ys.len() {
-                match xs[i].cmp(&ys[j]) {
-                    std::cmp::Ordering::Less => {
-                        merged.push(xs[i]);
-                        i += 1;
-                    }
-                    std::cmp::Ordering::Greater => {
-                        merged.push(ys[j]);
-                        j += 1;
-                    }
-                    std::cmp::Ordering::Equal => {
-                        merged.push(xs[i]);
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-            merged.extend_from_slice(&xs[i..]);
-            merged.extend_from_slice(&ys[j..]);
-        }
-        let out = if merged.len() > MAX_PROV_GROUPS {
-            Self::TOP
-        } else {
-            self.intern_sorted(&merged)
-        };
-        self.scratch = merged;
-        self.union_memo.insert(key, out);
-        out
+        let id = u32::try_from(self.nodes.len())
+            .ok()
+            .filter(|&id| id != LEAF)
+            .expect("provenance table overflow");
+        self.nodes.push((a.0, b.0));
+        ProvId(id)
     }
 
-    fn intern_sorted(&mut self, sorted: &[u32]) -> ProvId {
-        self.intern_with_hash(sorted, content_hash(sorted))
+    /// Which ids' sets meet `atoms`, for every id in the table now: the
+    /// retracted leaves are marked, then one ascending pass propagates the
+    /// marks to every union above them. No union has `TOP` as a child
+    /// (`union` absorbs it), so the pass starts at the oldest marked leaf.
+    pub fn retraction_mask(&self, atoms: &[u32]) -> RetractionMask {
+        let mut hit = vec![false; self.nodes.len()];
+        hit[Self::TOP.0 as usize] = !atoms.is_empty();
+        let mut start = hit.len();
+        for a in atoms {
+            if let Some(&leaf) = self.leaves.get(a) {
+                hit[leaf.0 as usize] = true;
+                start = start.min(leaf.0 as usize);
+            }
+        }
+        for i in start..self.nodes.len() {
+            let (a, b) = self.nodes[i];
+            if a != LEAF {
+                hit[i] = hit[a as usize] || hit[b as usize];
+            }
+        }
+        RetractionMask { hit }
+    }
+}
+
+/// The ids of a [`ProvTable`] whose sets meet one retraction, built by
+/// [`ProvTable::retraction_mask`]. It covers the table as it was when it
+/// was built: asking about a newer id panics instead of answering stale.
+#[derive(Clone, Debug, Default)]
+pub struct RetractionMask {
+    hit: Vec<bool>,
+}
+
+impl RetractionMask {
+    /// Whether the set of `p` meets the retraction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` was appended after the mask was built.
+    pub fn hits(&self, p: ProvId) -> bool {
+        match self.hit.get(p.0 as usize) {
+            Some(&h) => h,
+            None => panic!("provenance id {} is newer than the retraction mask", p.0),
+        }
     }
 
-    /// Interns `sorted` under `hash`, which must be the same for every call
-    /// with the same set (tests pass a fixed hash to force collisions).
-    fn intern_with_hash(&mut self, sorted: &[u32], hash: u64) -> ProvId {
-        debug_assert!(sorted.windows(2).all(|w| w[0] < w[1]));
-        let head = self.lookup.get(&hash).map_or(NIL, |p| p.0);
-        let mut cur = head;
-        while cur != NIL {
-            if self.members(ProvId(cur)) == sorted {
-                return ProvId(cur);
-            }
-            cur = self.chain[cur as usize];
-        }
-        let lo = self.ids.len() as u32;
-        self.ids.extend_from_slice(sorted);
-        let id = ProvId(self.spans.len() as u32);
-        self.spans.push((lo, self.ids.len() as u32));
-        self.chain.push(head);
-        self.lookup.insert(hash, id);
-        id
+    /// Number of table nodes the mask covers.
+    pub(crate) fn len(&self) -> usize {
+        self.hit.len()
     }
 }
 
@@ -238,119 +187,127 @@ mod tests {
     use std::collections::BTreeSet;
 
     #[test]
-    fn sentinels_and_singletons() {
+    fn sentinels_leaves_and_union_identities() {
         let mut t = ProvTable::new();
         assert!(t.is_empty());
         let a = t.singleton(3);
-        let a2 = t.singleton(3);
-        assert_eq!(a, a2, "interning dedups");
-        assert!(t.contains(a, 3));
-        assert!(!t.contains(a, 4));
-        assert!(!t.contains(ProvTable::EMPTY, 3));
-        assert!(t.contains(ProvTable::TOP, 3));
-        assert!(t.intersects(ProvTable::TOP, &[9]));
-        assert!(!t.intersects(ProvTable::TOP, &[]));
-    }
-
-    #[test]
-    fn union_merges_memoizes_and_respects_identities() {
-        let mut t = ProvTable::new();
-        let a = t.singleton(1);
+        assert_eq!(t.singleton(3), a, "one leaf per atom");
         let b = t.singleton(5);
-        let ab = t.union(a, b);
-        assert_eq!(t.members(ab), &[1, 5]);
-        assert_eq!(t.union(b, a), ab, "commutative via memo + interning");
-        assert_eq!(t.union(ab, a), ab, "absorbs subset");
+        assert_eq!(t.union(a, a), a);
         assert_eq!(t.union(ProvTable::EMPTY, b), b);
         assert_eq!(t.union(b, ProvTable::EMPTY), b);
         assert_eq!(t.union(ProvTable::TOP, b), ProvTable::TOP);
+        assert_eq!(t.union(b, ProvTable::TOP), ProvTable::TOP);
         let before = t.len();
-        let _ = t.union(a, b);
-        assert_eq!(t.len(), before, "memoized union interns nothing new");
+        let ab = t.union(a, b);
+        assert_eq!(t.len(), before + 1, "a proper union appends one node");
+        assert_ne!(t.union(b, a), ab, "unions are not deduplicated");
+
+        let none = t.retraction_mask(&[]);
+        assert!(!none.hits(ProvTable::TOP), "TOP meets no empty retraction");
+        assert!(!none.hits(ab));
+        let m = t.retraction_mask(&[5, 99]);
+        assert!(m.hits(ProvTable::TOP), "TOP meets every non-empty retraction");
+        assert!(!m.hits(ProvTable::EMPTY));
+        assert!(!m.hits(a));
+        assert!(m.hits(b) && m.hits(ab));
     }
 
     #[test]
-    fn wide_unions_saturate_to_top() {
+    #[should_panic(expected = "newer than the retraction mask")]
+    fn a_mask_refuses_ids_appended_after_it() {
         let mut t = ProvTable::new();
-        let mut acc = ProvTable::EMPTY;
-        for g in 0..(MAX_PROV_GROUPS as u32 + 1) {
-            let s = t.singleton(g);
-            acc = t.union(acc, s);
-        }
-        assert!(t.is_top(acc));
-        assert!(t.intersects(acc, &[MAX_PROV_GROUPS as u32 + 100]));
+        let a = t.singleton(1);
+        let m = t.retraction_mask(&[1]);
+        let b = t.singleton(2);
+        let ab = t.union(a, b);
+        m.hits(ab);
     }
 
-    #[test]
-    fn colliding_hashes_chain_without_merging_sets() {
-        let mut t = ProvTable::new();
-        let sets: Vec<Vec<u32>> = vec![vec![1], vec![2], vec![1, 2], vec![0, 7, 9], vec![3]];
-        let ids: Vec<ProvId> = sets.iter().map(|s| t.intern_with_hash(s, 7)).collect();
-        for (i, s) in sets.iter().enumerate() {
-            assert_eq!(t.members(ids[i]), s.as_slice(), "round trip through the chain");
-            assert_eq!(t.intern_with_hash(s, 7), ids[i], "re-intern finds the chained id");
-            for j in 0..i {
-                assert_ne!(ids[i], ids[j], "distinct sets under one hash stay distinct");
-            }
-        }
-        assert_eq!(t.len(), 2 + sets.len(), "re-interning added nothing");
-    }
-
-    /// A set in the model: `None` is the saturated `TOP`.
+    /// A node in the model: `None` is `TOP`.
     type Model = Option<BTreeSet<u32>>;
 
     fn model_union(a: &Model, b: &Model) -> Model {
-        let u: BTreeSet<u32> = a.as_ref()?.union(b.as_ref()?).copied().collect();
-        (u.len() <= MAX_PROV_GROUPS).then_some(u)
+        Some(a.as_ref()?.union(b.as_ref()?).copied().collect())
     }
 
-    fn intern_model(t: &mut ProvTable, s: &BTreeSet<u32>) -> ProvId {
-        s.iter().fold(ProvTable::EMPTY, |acc, &g| {
-            let one = t.singleton(g);
-            t.union(acc, one)
-        })
+    fn model_hits(m: &Model, atoms: &[u32]) -> bool {
+        match m {
+            None => !atoms.is_empty(),
+            Some(s) => atoms.iter().any(|a| s.contains(a)),
+        }
+    }
+
+    /// Appends leaves for `raw` atoms and unions over random older ids.
+    fn grow(
+        t: &mut ProvTable,
+        ids: &mut Vec<ProvId>,
+        models: &mut Vec<Model>,
+        raw: &[u32],
+        pairs: &[(usize, usize)],
+    ) {
+        for &a in raw {
+            ids.push(t.singleton(a));
+            models.push(Some(BTreeSet::from([a])));
+        }
+        for &(i, j) in pairs {
+            let (i, j) = (i % ids.len(), j % ids.len());
+            ids.push(t.union(ids[i], ids[j]));
+            models.push(model_union(&models[i], &models[j]));
+        }
+    }
+
+    fn check_mask(
+        t: &ProvTable,
+        m: &RetractionMask,
+        ids: &[ProvId],
+        models: &[Model],
+        atoms: &[u32],
+    ) {
+        prop_assert_eq!(m.len(), t.len());
+        for (id, model) in ids.iter().zip(models) {
+            prop_assert_eq!(m.hits(*id), model_hits(model, atoms), "{:?} vs {:?}", id, atoms);
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// `union` agrees with a `BTreeSet` model, saturation included,
-        /// and interning is canonical: equal ids iff equal sets.
+        /// Random union DAGs against a `BTreeSet` model: every mask agrees
+        /// with set intersection (empty retractions and `TOP` included).
+        /// A mask built before more nodes were appended still answers for
+        /// the older ids; a fresh mask covers the new ones; and a second,
+        /// different retraction set is answered from scratch, never from
+        /// the first mask.
         #[test]
-        fn union_and_interning_match_a_set_model(
-            raw in prop::collection::vec(prop::collection::vec(0u32..100, 0..48), 1..10),
-            pairs in prop::collection::vec((0usize..64, 0usize..64), 0..40),
+        fn retraction_masks_match_a_set_model(
+            raw in prop::collection::vec(0u32..40, 1..12),
+            pairs in prop::collection::vec((0usize..256, 0usize..256), 0..80),
+            more_raw in prop::collection::vec(0u32..50, 0..6),
+            more_pairs in prop::collection::vec((0usize..256, 0usize..256), 0..40),
+            first in prop::collection::vec(0u32..50, 0..4),
+            second in prop::collection::vec(0u32..50, 0..4),
         ) {
             let mut t = ProvTable::new();
-            let mut ids: Vec<ProvId> = Vec::new();
-            let mut models: Vec<Model> = Vec::new();
-            for r in &raw {
-                let s: BTreeSet<u32> = r.iter().copied().collect();
-                let id = intern_model(&mut t, &s);
-                ids.push(id);
-                models.push((s.len() <= MAX_PROV_GROUPS).then_some(s));
-            }
-            for &(i, j) in &pairs {
-                let (i, j) = (i % ids.len(), j % ids.len());
-                ids.push(t.union(ids[i], ids[j]));
-                models.push(model_union(&models[i], &models[j]));
-            }
-            for (id, m) in ids.iter().zip(&models) {
-                match m {
-                    None => prop_assert!(t.is_top(*id)),
-                    Some(m) => {
-                        let members: Vec<u32> = m.iter().copied().collect();
-                        prop_assert!(!t.is_top(*id));
-                        prop_assert_eq!(t.members(*id), members.as_slice());
-                        prop_assert_eq!(t.intern_sorted(&members), *id);
-                    }
+            let mut ids = vec![ProvTable::EMPTY, ProvTable::TOP];
+            let mut models: Vec<Model> = vec![Some(BTreeSet::new()), None];
+            grow(&mut t, &mut ids, &mut models, &raw, &pairs);
+            let m1 = t.retraction_mask(&first);
+            check_mask(&t, &m1, &ids, &models, &first);
+
+            grow(&mut t, &mut ids, &mut models, &more_raw, &more_pairs);
+            // The stale mask still answers for every id it covers, including
+            // ids handed out again since (leaves and union identities); ids
+            // appended since lie past it, where `hits` panics
+            // (`a_mask_refuses_ids_appended_after_it`).
+            for (id, model) in ids.iter().zip(&models) {
+                if (id.raw() as usize) < m1.len() {
+                    prop_assert_eq!(m1.hits(*id), model_hits(model, &first), "stale mask");
                 }
             }
-            for (a, ma) in ids.iter().zip(&models) {
-                for (b, mb) in ids.iter().zip(&models) {
-                    prop_assert_eq!(a == b, ma == mb);
-                }
-            }
+            check_mask(&t, &t.retraction_mask(&first), &ids, &models, &first);
+            check_mask(&t, &t.retraction_mask(&second), &ids, &models, &second);
+            check_mask(&t, &t.retraction_mask(&[]), &ids, &models, &[]);
         }
     }
 }

@@ -45,7 +45,7 @@ use crate::graph::{Graph, GraphCensus, Insert};
 use crate::oracle::Partition;
 use crate::order::{OrderPolicy, VarOrder};
 use crate::problem::{ConstraintBuilder, Problem};
-use crate::prov::{ProvId, ProvTable};
+use crate::prov::{ProvId, ProvTable, RetractionMask};
 use crate::scc::{tarjan, SccStats};
 use crate::stats::Stats;
 use bane_util::FxHashSet;
@@ -202,7 +202,7 @@ struct NodeProv {
 
 /// An unresolved provenance: the union of the two ids is the provenance.
 /// Queued constraints carry one so that a constraint that turns out
-/// redundant never interns its union (see [`crate::prov`]).
+/// redundant never appends its union (see [`crate::prov`]).
 type ProvPair = (ProvId, ProvId);
 
 /// Provenance-tracking state (the `fast_apply` side-table; see
@@ -211,9 +211,12 @@ type ProvPair = (ProvId, ProvId);
 #[derive(Clone, Debug)]
 struct ProvState {
     table: ProvTable,
-    /// Parallel to `Solver::pending`: the provenance of each queued
-    /// constraint (pushed and popped in lockstep with it).
-    pending_prov: VecDeque<ProvPair>,
+    /// The tracked solver's worklist, in place of `Solver::pending` (which
+    /// stays empty): each queued constraint with its unresolved
+    /// provenance. One queue carrying the pair inline costs a tracked solve
+    /// far less than a second queue kept in lockstep, and the untracked
+    /// queue keeps its narrower entries.
+    pending: VecDeque<(SetExpr, SetExpr, ProvPair)>,
     /// Ambient tag applied to constraints entering through
     /// [`Solver::add`] (set by [`Solver::set_current_group`]).
     current_group: ProvId,
@@ -229,7 +232,7 @@ struct ProvState {
     /// locally undone (the forwarding is permanent), forcing full replay.
     collapse_log: Vec<ProvId>,
     /// Justification computed by the online search for the collapse it is
-    /// about to request; `None` (→ saturated `TOP`) for offline sweeps.
+    /// about to request; `None` (→ `TOP`) for offline sweeps.
     next_justification: Option<ProvId>,
     /// Parallel to `Solver::errors`.
     error_prov: Vec<ProvId>,
@@ -242,7 +245,7 @@ struct ProvState {
 }
 
 impl ProvState {
-    /// Interns the in-flight pair's union and keeps it as the (now
+    /// Resolves the in-flight pair to one id and keeps it as the (now
     /// resolved) in-flight provenance, so later uses are free.
     fn resolve_current(&mut self) -> ProvId {
         let (a, b) = self.current;
@@ -264,6 +267,8 @@ pub struct Solver {
     fwd: Forwarding,
     order: VarOrder,
     search: ChainSearch,
+    /// The worklist (empty under provenance tracking, which queues in
+    /// `ProvState::pending` instead).
     pending: VecDeque<(SetExpr, SetExpr)>,
     /// Provenance tracking (the `fast_apply` side-table). `None` unless
     /// [`enable_provenance`](Solver::enable_provenance) was called before
@@ -499,7 +504,7 @@ impl Solver {
         }
         self.prov = Some(Box::new(ProvState {
             table: ProvTable::new(),
-            pending_prov: VecDeque::new(),
+            pending: VecDeque::new(),
             current_group: ProvTable::EMPTY,
             current: (ProvTable::EMPTY, ProvTable::EMPTY),
             nodes: vec![NodeProv::default(); self.graph.len()],
@@ -527,16 +532,32 @@ impl Solver {
         }
     }
 
-    /// Whether retracting `groups` would invalidate a recorded cycle
-    /// collapse.
+    /// Which recorded provenances meet a retraction of `groups`: one pass
+    /// over the provenance table, built once per retraction and read by
+    /// [`retraction_invalidates_collapse`](Solver::retraction_invalidates_collapse)
+    /// and [`retract_groups`](Solver::retract_groups). Empty without
+    /// provenance.
+    pub fn retraction_mask(&self, groups: &[u32]) -> RetractionMask {
+        self.prov.as_ref().map_or_else(RetractionMask::default, |p| p.table.retraction_mask(groups))
+    }
+
+    /// Whether the retraction `mask` describes would invalidate a recorded
+    /// cycle collapse.
     ///
     /// Collapses rewrite the graph irreversibly — members forward to the
-    /// witness and their edges are merged — so a retraction intersecting any
+    /// witness and their edges are merged — so a retraction meeting any
     /// collapse justification cannot be repaired in place; the caller must
     /// fall back to full replay. Conservatively `true` without provenance.
-    pub fn retraction_invalidates_collapse(&self, groups: &[u32]) -> bool {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mask` was not built from the current provenance table.
+    pub fn retraction_invalidates_collapse(&self, mask: &RetractionMask) -> bool {
         match &self.prov {
-            Some(p) => p.collapse_log.iter().any(|&j| p.table.intersects(j, groups)),
+            Some(p) => {
+                assert_eq!(mask.len(), p.table.len(), "retraction mask built for another table");
+                p.collapse_log.iter().any(|&j| mask.hits(j))
+            }
             None => true,
         }
     }
@@ -546,9 +567,11 @@ impl Solver {
         self.prov.as_ref().map_or(0, |p| p.collapse_log.len())
     }
 
-    /// Deletes every graph fact whose recorded derivation intersects
-    /// `groups`, plus the inconsistencies attributed to them. Returns the
-    /// number of removed adjacency entries.
+    /// Deletes every graph fact whose recorded derivation meets the
+    /// retraction `mask` describes (see
+    /// [`retraction_mask`](Solver::retraction_mask)), plus the
+    /// inconsistencies attributed to it. Returns the number of removed
+    /// adjacency entries.
     ///
     /// This over-deletes by design: only the *first* derivation of each fact
     /// is recorded, so a fact is dropped even when a surviving derivation
@@ -558,23 +581,22 @@ impl Solver {
     ///
     /// # Panics
     ///
-    /// Panics without provenance tracking or with a non-empty worklist;
+    /// Panics without provenance tracking, with a non-empty worklist, or
+    /// if `mask` was not built from the current provenance table;
     /// [`retraction_invalidates_collapse`](Solver::retraction_invalidates_collapse)
     /// must be `false` for the repair to be meaningful (debug-asserted).
-    pub fn retract_groups(&mut self, groups: &[u32]) -> u64 {
-        assert!(
-            self.pending.is_empty(),
-            "retract_groups requires a drained worklist"
-        );
+    pub fn retract_groups(&mut self, mask: &RetractionMask) -> u64 {
         let Some(p) = &mut self.prov else {
             panic!("retract_groups requires enable_provenance");
         };
+        assert!(p.pending.is_empty(), "retract_groups requires a drained worklist");
+        assert_eq!(mask.len(), p.table.len(), "retraction mask built for another table");
         debug_assert!(
-            !p.collapse_log.iter().any(|&j| p.table.intersects(j, groups)),
+            !p.collapse_log.iter().any(|&j| mask.hits(j)),
             "retraction invalidates a collapse; caller must replay instead"
         );
         let mut removed = 0u64;
-        let ProvState { table, nodes, error_prov, damaged, .. } = &mut **p;
+        let ProvState { nodes, error_prov, damaged, .. } = &mut **p;
         for (i, mirror) in nodes.iter_mut().enumerate() {
             let v = Var::new(i);
             let at_v = removed;
@@ -586,33 +608,33 @@ impl Solver {
             removed += self
                 .graph
                 .retain_pred_vars(v, |pos, l| {
-                    let keep = !table.intersects(mirror.pred_vars[pos], groups);
+                    let keep = !mask.hits(mirror.pred_vars[pos]);
                     if !keep {
                         damaged.push(l);
                     }
                     keep
                 }) as u64;
-            mirror.pred_vars.retain(|&pr| !table.intersects(pr, groups));
+            mirror.pred_vars.retain(|&pr| !mask.hits(pr));
             removed += self
                 .graph
                 .retain_succ_vars(v, |pos, r| {
-                    let keep = !table.intersects(mirror.succ_vars[pos], groups);
+                    let keep = !mask.hits(mirror.succ_vars[pos]);
                     if !keep {
                         damaged.push(r);
                     }
                     keep
                 }) as u64;
-            mirror.succ_vars.retain(|&pr| !table.intersects(pr, groups));
+            mirror.succ_vars.retain(|&pr| !mask.hits(pr));
             removed += self
                 .graph
-                .retain_pred_srcs(v, |pos, _| !table.intersects(mirror.pred_srcs[pos], groups))
+                .retain_pred_srcs(v, |pos, _| !mask.hits(mirror.pred_srcs[pos]))
                 as u64;
-            mirror.pred_srcs.retain(|&pr| !table.intersects(pr, groups));
+            mirror.pred_srcs.retain(|&pr| !mask.hits(pr));
             removed += self
                 .graph
-                .retain_succ_snks(v, |pos, _| !table.intersects(mirror.succ_snks[pos], groups))
+                .retain_succ_snks(v, |pos, _| !mask.hits(mirror.succ_snks[pos]))
                 as u64;
-            mirror.succ_snks.retain(|&pr| !table.intersects(pr, groups));
+            mirror.succ_snks.retain(|&pr| !mask.hits(pr));
             if removed > at_v {
                 damaged.push(v);
             }
@@ -620,11 +642,11 @@ impl Solver {
         let mut i = 0;
         let ep = &*error_prov;
         self.errors.retain(|_| {
-            let keep = !table.intersects(ep[i], groups);
+            let keep = !mask.hits(ep[i]);
             i += 1;
             keep
         });
-        error_prov.retain(|&pr| !table.intersects(pr, groups));
+        error_prov.retain(|&pr| !mask.hits(pr));
         removed
     }
 
@@ -732,7 +754,7 @@ impl Solver {
         // `current`) with each co-located premise's mirror entry, so every
         // re-derived fact records a derivation that is valid *after* the
         // retraction. Meets pair their two premises the same way; either
-        // pair is interned only if it stores a fact.
+        // pair is resolved only if it stores a fact.
         for (is_pred, pivot, operand, pr) in scans {
             self.prov.as_mut().expect("checked").current = (pr, ProvTable::EMPTY);
             if is_pred {
@@ -810,32 +832,37 @@ impl Solver {
     /// process it; constraints may be added incrementally between calls.
     pub fn add(&mut self, lhs: impl Into<SetExpr>, rhs: impl Into<SetExpr>) {
         self.stats.constraints_added += 1;
-        if let Some(p) = &mut self.prov {
-            let g = p.current_group;
-            p.pending_prov.push_back((g, ProvTable::EMPTY));
+        let (lhs, rhs) = (lhs.into(), rhs.into());
+        match &mut self.prov {
+            None => self.pending.push_back((lhs, rhs)),
+            Some(p) => {
+                let g = p.current_group;
+                p.pending.push_back((lhs, rhs, (g, ProvTable::EMPTY)));
+            }
         }
-        self.pending.push_back((lhs.into(), rhs.into()));
     }
 
     /// Queues a derived constraint carrying the in-flight provenance,
     /// resolved or not.
     #[inline]
     fn push_pending(&mut self, lhs: SetExpr, rhs: SetExpr) {
-        if let Some(p) = &mut self.prov {
-            let pr = p.current;
-            p.pending_prov.push_back(pr);
+        match &mut self.prov {
+            None => self.pending.push_back((lhs, rhs)),
+            Some(p) => {
+                let pr = p.current;
+                p.pending.push_back((lhs, rhs, pr));
+            }
         }
-        self.pending.push_back((lhs, rhs));
     }
 
     /// Queues a derived constraint with an explicit provenance (collapse
     /// re-assertions, whose edges carry their own recorded provenance).
     #[inline]
     fn push_pending_with(&mut self, lhs: SetExpr, rhs: SetExpr, prov: ProvId) {
-        if let Some(p) = &mut self.prov {
-            p.pending_prov.push_back((prov, ProvTable::EMPTY));
+        match &mut self.prov {
+            None => self.pending.push_back((lhs, rhs)),
+            Some(p) => p.pending.push_back((lhs, rhs, (prov, ProvTable::EMPTY))),
         }
-        self.pending.push_back((lhs, rhs));
     }
 
     /// Resolves all pending constraints, closing the graph transitively.
@@ -883,13 +910,15 @@ impl Solver {
             CycleElim::Periodic { interval } if closure => interval.max(1) as u64,
             _ => 0,
         };
-        while let Some((lhs, rhs)) = self.pending.pop_front() {
-            if let Some(p) = &mut self.prov {
-                p.current = p
-                    .pending_prov
-                    .pop_front()
-                    .unwrap_or((ProvTable::EMPTY, ProvTable::EMPTY));
-            }
+        loop {
+            let next = match &mut self.prov {
+                None => self.pending.pop_front(),
+                Some(p) => p.pending.pop_front().map(|(lhs, rhs, pr)| {
+                    p.current = pr;
+                    (lhs, rhs)
+                }),
+            };
+            let Some((lhs, rhs)) = next else { break };
             self.process(lhs, rhs, closure);
             if periodic != 0 && self.stats.constraints_processed.is_multiple_of(periodic) {
                 self.offline_collapse();
@@ -1025,18 +1054,15 @@ impl Solver {
             }
             Some(p) => {
                 let current = p.resolve_current();
-                let ProvState { nodes, pending_prov, .. } = &mut **p;
                 let node = self.graph.node(pivot);
-                let mirror = &nodes[pivot.raw() as usize];
+                let mirror = &p.nodes[pivot.raw() as usize];
                 debug_assert_eq!(node.succ_vars().len(), mirror.succ_vars.len());
                 debug_assert_eq!(node.succ_snks().len(), mirror.succ_snks.len());
-                for (i, &r) in node.succ_vars().iter().enumerate() {
-                    pending_prov.push_back((current, mirror.succ_vars[i]));
-                    self.pending.push_back((lhs, SetExpr::Var(r)));
+                for (&r, &pr) in node.succ_vars().iter().zip(&mirror.succ_vars) {
+                    p.pending.push_back((lhs, SetExpr::Var(r), (current, pr)));
                 }
-                for (i, &r) in node.succ_snks().iter().enumerate() {
-                    pending_prov.push_back((current, mirror.succ_snks[i]));
-                    self.pending.push_back((lhs, SetExpr::Term(r)));
+                for (&r, &pr) in node.succ_snks().iter().zip(&mirror.succ_snks) {
+                    p.pending.push_back((lhs, SetExpr::Term(r), (current, pr)));
                 }
             }
         }
@@ -1058,18 +1084,15 @@ impl Solver {
             }
             Some(p) => {
                 let current = p.resolve_current();
-                let ProvState { nodes, pending_prov, .. } = &mut **p;
                 let node = self.graph.node(pivot);
-                let mirror = &nodes[pivot.raw() as usize];
+                let mirror = &p.nodes[pivot.raw() as usize];
                 debug_assert_eq!(node.pred_srcs().len(), mirror.pred_srcs.len());
                 debug_assert_eq!(node.pred_vars().len(), mirror.pred_vars.len());
-                for (i, &l) in node.pred_srcs().iter().enumerate() {
-                    pending_prov.push_back((current, mirror.pred_srcs[i]));
-                    self.pending.push_back((SetExpr::Term(l), rhs));
+                for (&l, &pr) in node.pred_srcs().iter().zip(&mirror.pred_srcs) {
+                    p.pending.push_back((SetExpr::Term(l), rhs, (current, pr)));
                 }
-                for (i, &l) in node.pred_vars().iter().enumerate() {
-                    pending_prov.push_back((current, mirror.pred_vars[i]));
-                    self.pending.push_back((SetExpr::Var(l), rhs));
+                for (&l, &pr) in node.pred_vars().iter().zip(&mirror.pred_vars) {
+                    p.pending.push_back((SetExpr::Var(l), rhs, (current, pr)));
                 }
             }
         }
@@ -2175,8 +2198,9 @@ mod provenance_tests {
             let before = s.least_solution();
             assert_eq!(before.get(s.find(vs[5])), &[csrc, dsrc], "{config:?}");
 
-            assert!(!s.retraction_invalidates_collapse(&[1]), "{config:?}");
-            let removed = s.retract_groups(&[1]);
+            let mask = s.retraction_mask(&[1]);
+            assert!(!s.retraction_invalidates_collapse(&mask), "{config:?}");
+            let removed = s.retract_groups(&mask);
             assert!(removed >= g1.len() as u64, "{config:?}: at least the atoms go");
             s.set_current_group(Some(0));
             for &(l, r) in &g0 {
@@ -2221,9 +2245,12 @@ mod provenance_tests {
         s.solve();
         assert_eq!(s.find(x), s.find(y), "cycle collapsed");
         assert_eq!(s.collapse_log_len(), 1);
-        assert!(s.retraction_invalidates_collapse(&[0]));
-        assert!(s.retraction_invalidates_collapse(&[1]));
-        assert!(!s.retraction_invalidates_collapse(&[2]), "uninvolved group");
+        assert!(s.retraction_invalidates_collapse(&s.retraction_mask(&[0])));
+        assert!(s.retraction_invalidates_collapse(&s.retraction_mask(&[1])));
+        assert!(
+            !s.retraction_invalidates_collapse(&s.retraction_mask(&[2])),
+            "uninvolved group"
+        );
     }
 
     /// A tracked solve of a seeded Andersen-style system (address-of,
@@ -2273,10 +2300,10 @@ mod provenance_tests {
         (s, CONSTRAINTS)
     }
 
-    /// Unions are interned only where a fact is recorded: a stored
+    /// Unions are appended only where a fact is recorded: a stored
     /// adjacency entry, a collapse justification (one union per chain step
     /// plus the trigger) or an inconsistency. So the table can hold at most
-    /// the sentinels, the atom singletons and one set per recorded union —
+    /// the sentinels, the atom leaves and one node per recorded union —
     /// however many derived constraints were queued and found redundant.
     #[test]
     fn provenance_table_grows_only_with_recorded_facts() {
@@ -2290,7 +2317,7 @@ mod provenance_tests {
                 let len = s.prov.as_ref().expect("tracked").table.len() as u64;
                 assert!(
                     len <= bound,
-                    "{config:?} seed {seed}: {len} interned sets exceed the {bound} recorded facts"
+                    "{config:?} seed {seed}: {len} provenance nodes exceed the {bound} recorded facts"
                 );
                 assert!(st.redundant > stored, "{config:?} seed {seed}: the system must be redundant");
             }
@@ -2298,7 +2325,7 @@ mod provenance_tests {
     }
 
     /// Offline (periodic) collapses cannot attribute their cycles and must
-    /// log the saturated justification: every retraction then falls back.
+    /// log the `TOP` justification: every retraction then falls back.
     #[test]
     fn periodic_collapse_logs_top_justification() {
         let mut config = SolverConfig::if_online();
@@ -2313,8 +2340,8 @@ mod provenance_tests {
         s.solve();
         assert_eq!(s.find(x), s.find(y), "offline pass collapsed the cycle");
         assert!(
-            s.retraction_invalidates_collapse(&[99]),
-            "TOP justification intersects every retraction"
+            s.retraction_invalidates_collapse(&s.retraction_mask(&[99])),
+            "TOP justification meets every retraction"
         );
     }
 }

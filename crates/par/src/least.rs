@@ -54,7 +54,7 @@
 //! once warm — no allocations (pinned by `bane-core`'s allocation test).
 
 
-use bane_core::least::{merge_sorted_dedup, CsrSnapshot, LeastParts, LeastSolution};
+use bane_core::least::{union_runs, CsrSnapshot, LeastParts, LeastSolution, MergeScratch};
 use bane_core::solver::{Form, Solver};
 use bane_core::{TermId, Var};
 use bane_obs::{Counter, Phase, Recorder};
@@ -73,15 +73,6 @@ struct WorkBufs {
     spans: Vec<(u32, u32)>,
 }
 
-/// Union-building scratch: the pairwise ping-pong buffers.
-#[derive(Clone, Debug, Default)]
-struct MergeScratch {
-    acc: Vec<TermId>,
-    buf_b: Vec<TermId>,
-    bounds_a: Vec<(u32, u32)>,
-    bounds_b: Vec<(u32, u32)>,
-}
-
 /// One worker's private scratch: scan output plus merge buffers.
 ///
 /// Everything is reused across levels and across runs, so a warmed
@@ -95,64 +86,6 @@ struct WorkerState {
     /// Input runs (spans into the shared arena).
     runs: Vec<(u32, u32)>,
     merge: MergeScratch,
-}
-
-/// Unions `total` sorted, distinct input runs into `out` (appended).
-fn union_runs<'a>(
-    total: usize,
-    input: impl Fn(usize) -> &'a [TermId],
-    m: &mut MergeScratch,
-    out: &mut Vec<TermId>,
-) {
-    match total {
-        0 => {}
-        1 => out.extend_from_slice(input(0)),
-        2 => merge_sorted_dedup(input(0), input(1), out),
-        _ => {
-            // Iterated pairwise merging, same shape (and same shared
-            // primitive) as the sequential pass.
-            m.acc.clear();
-            m.bounds_a.clear();
-            let mut i = 0;
-            while i < total {
-                let run_start = m.acc.len() as u32;
-                if i + 1 < total {
-                    merge_sorted_dedup(input(i), input(i + 1), &mut m.acc);
-                    i += 2;
-                } else {
-                    m.acc.extend_from_slice(input(i));
-                    i += 1;
-                }
-                m.bounds_a.push((run_start, m.acc.len() as u32));
-            }
-            while m.bounds_a.len() > 1 {
-                m.buf_b.clear();
-                m.bounds_b.clear();
-                let mut i = 0;
-                while i < m.bounds_a.len() {
-                    let run_start = m.buf_b.len() as u32;
-                    if i + 1 < m.bounds_a.len() {
-                        let (s1, e1) = m.bounds_a[i];
-                        let (s2, e2) = m.bounds_a[i + 1];
-                        merge_sorted_dedup(
-                            &m.acc[s1 as usize..e1 as usize],
-                            &m.acc[s2 as usize..e2 as usize],
-                            &mut m.buf_b,
-                        );
-                        i += 2;
-                    } else {
-                        let (s, e) = m.bounds_a[i];
-                        m.buf_b.extend_from_slice(&m.acc[s as usize..e as usize]);
-                        i += 1;
-                    }
-                    m.bounds_b.push((run_start, m.buf_b.len() as u32));
-                }
-                std::mem::swap(&mut m.acc, &mut m.buf_b);
-                std::mem::swap(&mut m.bounds_a, &mut m.bounds_b);
-            }
-            out.extend_from_slice(&m.acc);
-        }
-    }
 }
 
 /// A reusable SCC-level-parallel least-solution evaluator.

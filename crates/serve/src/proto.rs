@@ -23,7 +23,8 @@
 //! hello [<version>]            negotiate the protocol (v2 adds routing)
 //! con <name> [+|-]...          register a constructor (variances; none = nullary)
 //! term <con-name> <arg>...     intern a term; args are v<i>, t<i>, one, zero
-//! vars <n>                     stage: create n fresh variables
+//! vars <n>                     stage: create n fresh variables (live plus
+//!                              staged at most MAX_VARS)
 //! group <c> [; <c>]...         stage: add a group; each <c> is <expr> <= <expr>
 //! edit g<i> <c> [; <c>]...     stage: replace group g<i>'s constraints
 //! drop g<i>                    stage: remove group g<i>
@@ -78,6 +79,15 @@ use crate::session::Session;
 /// Maximum accepted frame length (1 MiB) — guards the length-prefixed
 /// reader against garbage prefixes.
 pub const MAX_FRAME: u32 = 1 << 20;
+
+/// Most variables a server holds, live plus staged. A `vars` request that
+/// would pass it is answered `err` and stages nothing, so a client cannot
+/// make `commit` allocate per-variable solver state without bound. A
+/// committed variable costs a session roughly 350 bytes (about 450 with
+/// `ApplyMode::Fast` provenance), so the cap holds that state near
+/// 0.5 GiB per session, about 25 times the variables of the largest suite
+/// program at full scale (povray-2.2, 42,228).
+pub const MAX_VARS: u64 = 1 << 20;
 
 /// The protocol version this build speaks. Version 2 added the `hello`
 /// handshake and the `route` envelope; version 1 (no handshake) remains
@@ -358,6 +368,30 @@ fn check_term(solver: &Solver, con: Con, args: &[SetExpr]) -> Result<(), Respons
     check_exprs(args, solver.graph_len() as u64, solver.terms().len())
 }
 
+/// Variables `pending` stages.
+fn staged_vars(pending: &Delta) -> u64 {
+    pending
+        .ops()
+        .iter()
+        .map(|op| match op {
+            DeltaOp::AddVars(n) => u64::from(*n),
+            _ => 0,
+        })
+        .sum()
+}
+
+/// Rejects a `vars n` request that would take the live plus staged
+/// variables past [`MAX_VARS`].
+fn check_var_cap(solver: &Solver, pending: &Delta, n: u32) -> Result<(), Response> {
+    let total = solver.graph_len() as u64 + staged_vars(pending) + u64::from(n);
+    if total > MAX_VARS {
+        return Err(Response::Err(format!(
+            "vars: {total} live plus staged variables would exceed the cap of {MAX_VARS}"
+        )));
+    }
+    Ok(())
+}
+
 /// Rejects a staged `group`/`edit` body naming a variable or term that
 /// will not exist when the batch applies: variables count the live ones
 /// plus those `pending` already stages, terms only the live ones.
@@ -366,17 +400,9 @@ fn check_constraints(
     pending: &Delta,
     constraints: &[(SetExpr, SetExpr)],
 ) -> Result<(), Response> {
-    let staged: u64 = pending
-        .ops()
-        .iter()
-        .map(|op| match op {
-            DeltaOp::AddVars(n) => u64::from(*n),
-            _ => 0,
-        })
-        .sum();
     check_exprs(
         constraints.iter().flat_map(|(l, r)| [l, r]),
-        solver.graph_len() as u64 + staged,
+        solver.graph_len() as u64 + staged_vars(pending),
         solver.terms().len(),
     )
 }
@@ -410,6 +436,9 @@ pub fn execute(session: &mut Session, pending: &mut Delta, req: Request) -> Resp
             Response::Ok(format!("t{}", t.index()))
         }
         Request::AddVars(n) => {
+            if let Err(e) = check_var_cap(session.solver(), pending, n) {
+                return e;
+            }
             pending.add_vars(n);
             Response::Ok(format!("staged {n} vars"))
         }
@@ -544,6 +573,10 @@ pub fn execute_fleet(fleet: &mut ShardManager, pending: &mut Delta, req: Request
             Response::Ok(format!("t{}", t.index()))
         }
         Request::AddVars(n) => {
+            // `AddVars` fans out to every shard, so each holds them all.
+            if let Err(e) = check_var_cap(fleet.session(0).solver(), pending, n) {
+                return e;
+            }
             pending.add_vars(n);
             Response::Ok(format!("staged {n} vars"))
         }
@@ -1074,6 +1107,43 @@ mod tests {
         assert_eq!(got[7], "ok staged group (1 constraints)");
         assert!(got[8].starts_with("ok committed"), "{}", got[8]);
         assert_eq!(got[9], "ok {t2}", "the next valid request is answered");
+    }
+
+    /// `vars` past [`MAX_VARS`] (live plus staged) is rejected and stages
+    /// nothing; requests within the cap still stage. Nothing here commits
+    /// a large count, so the test allocates no variables for it.
+    #[test]
+    fn session_caps_staged_vars() {
+        let mut session = crate::SessionBuilder::new().build();
+        let mut pending = Delta::new();
+        let mut exec = |r| execute(&mut session, &mut pending, r);
+        let setup = run_lines(&mut exec, &["vars 2", "commit"]);
+        assert!(setup.iter().all(|r| r.starts_with("ok")), "{setup:?}");
+        let under = format!("vars {}", MAX_VARS - 3);
+        let got = run_lines(&mut exec, &["vars 4000000000", under.as_str(), "vars 2", "vars 1"]);
+        let over = "err vars: 4000000002 live plus staged variables would exceed the cap of";
+        assert_eq!(got[0], format!("{over} {MAX_VARS}"));
+        assert_eq!(got[1], format!("ok staged {} vars", MAX_VARS - 3));
+        assert!(got[2].starts_with("err vars: "), "live 2 + staged cap-3 + 2 > cap: {}", got[2]);
+        assert_eq!(got[3], "ok staged 1 vars", "exactly the cap is accepted");
+        assert_eq!(pending.ops(), &[DeltaOp::AddVars(MAX_VARS as u32 - 3), DeltaOp::AddVars(1)]);
+    }
+
+    /// The fleet counterpart: the cap counts shard 0's live variables,
+    /// which every shard holds.
+    #[test]
+    fn fleet_caps_staged_vars() {
+        let mut fleet = ShardManager::new(&crate::SessionBuilder::new(), 2);
+        let mut pending = Delta::new();
+        let mut exec = |r| execute_fleet(&mut fleet, &mut pending, r);
+        let setup = run_lines(&mut exec, &["vars 4", "commit"]);
+        assert!(setup.iter().all(|r| r.starts_with("ok")), "{setup:?}");
+        let at_cap = format!("vars {}", MAX_VARS - 4);
+        let got = run_lines(&mut exec, &["vars 4000000000", at_cap.as_str(), "vars 1"]);
+        assert!(got[0].starts_with("err vars: 4000000004 "), "{}", got[0]);
+        assert_eq!(got[1], format!("ok staged {} vars", MAX_VARS - 4));
+        assert!(got[2].starts_with("err vars: "), "{}", got[2]);
+        assert_eq!(pending.ops(), &[DeltaOp::AddVars(MAX_VARS as u32 - 4)]);
     }
 
     #[test]

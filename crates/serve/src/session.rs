@@ -79,8 +79,6 @@ struct LiveGroup {
     constraints: Vec<(SetExpr, SetExpr)>,
     /// Provenance atom per constraint (parallel to `constraints`).
     atoms: Vec<u32>,
-    /// Rotating bucket cursor for constraints added by later edits.
-    next_bucket: u32,
 }
 
 impl LiveGroup {
@@ -92,7 +90,7 @@ impl LiveGroup {
         let atoms = (0..constraints.len() as u64)
             .map(|k| atom(group, (k * u64::from(ATOM_BUCKETS) / n) as u32))
             .collect();
-        LiveGroup { constraints, atoms, next_bucket: 0 }
+        LiveGroup { constraints, atoms }
     }
 
     /// Each constraint with its atom, in group order.
@@ -102,9 +100,13 @@ impl LiveGroup {
 
     /// Rebinds the slot to `new` contents: occurrences also present in the
     /// old contents keep their atom (multiset matching), genuinely new
-    /// constraints get rotating fresh buckets. Returns the atoms of the
-    /// *removed* occurrences — exactly what this edit retracts — and the
-    /// genuinely new constraints with their fresh atoms.
+    /// constraints get the lowest buckets no surviving constraint of the
+    /// group holds, so retracting a new constraint later never takes a
+    /// live sibling with it. Only a group with more live constraints than
+    /// [`ATOM_BUCKETS`] must share, and shares as [`LiveGroup::new`] does.
+    /// Returns the atoms of the *removed* occurrences — exactly what this
+    /// edit retracts — and the genuinely new constraints with their fresh
+    /// atoms.
     fn rebind(
         &mut self,
         group: u32,
@@ -114,18 +116,31 @@ impl LiveGroup {
         for (c, &a) in self.constraints.iter().zip(&self.atoms) {
             pool.entry(*c).or_default().push(a);
         }
+        let inherited: Vec<Option<u32>> =
+            new.iter().map(|c| pool.get_mut(c).and_then(Vec::pop)).collect();
+        let mut held = [false; ATOM_BUCKETS as usize];
+        for a in inherited.iter().flatten() {
+            held[(a % ATOM_BUCKETS) as usize] = true;
+        }
+        let mut free = 0;
+        let n = new.len() as u64;
         let mut atoms = Vec::with_capacity(new.len());
         let mut fresh = Vec::new();
-        for &(lhs, rhs) in &new {
-            let a = match pool.get_mut(&(lhs, rhs)).and_then(Vec::pop) {
-                Some(inherited) => inherited,
-                None => {
-                    let a = atom(group, self.next_bucket);
-                    self.next_bucket = (self.next_bucket + 1) % ATOM_BUCKETS;
-                    fresh.push((lhs, rhs, a));
-                    a
+        for (k, (&(lhs, rhs), inherited)) in new.iter().zip(inherited).enumerate() {
+            let a = inherited.unwrap_or_else(|| {
+                while free < held.len() && held[free] {
+                    free += 1;
                 }
-            };
+                let bucket = if free < held.len() {
+                    held[free] = true;
+                    free as u32
+                } else {
+                    (k as u64 * u64::from(ATOM_BUCKETS) / n) as u32
+                };
+                let a = atom(group, bucket);
+                fresh.push((lhs, rhs, a));
+                a
+            });
             atoms.push(a);
         }
         let removed: Vec<u32> = pool.into_values().flatten().collect();
@@ -460,9 +475,13 @@ impl Session {
             }
             retract_atoms.sort_unstable();
             retract_atoms.dedup();
-            let fast = self.mode == ApplyMode::Fast
-                && !self.solver.retraction_invalidates_collapse(&retract_atoms);
-            if fast {
+            // One pass over the provenance table marks every recorded
+            // provenance the retraction meets; the collapse gate and the
+            // retraction both read that one mask.
+            let mask = (self.mode == ApplyMode::Fast)
+                .then(|| self.solver.retraction_mask(&retract_atoms))
+                .filter(|m| !self.solver.retraction_invalidates_collapse(m));
+            if let Some(mask) = mask {
                 // The live solver survives: sync the deferred variables,
                 // retract exactly the removed constraints' facts, repair.
                 for &v in &new_vars {
@@ -476,7 +495,7 @@ impl Session {
                     feed(&mut self.solver, fresh);
                     self.solver.solve();
                 } else {
-                    retracted_edges = self.solver.retract_groups(&retract_atoms);
+                    retracted_edges = self.solver.retract_groups(&mask);
                     self.repair();
                 }
                 fast_repaired = true;
@@ -763,6 +782,34 @@ mod tests {
         let report = s.apply(d);
         assert!(report.monotone);
         (s, vars, src, report.new_groups[0])
+    }
+
+    /// Edit/undo cycles — drop a seeded constraint (sometimes adding a new
+    /// one), then restore the original — never leave two live constraints
+    /// of a group on one atom, so retracting one never retracts a sibling.
+    #[test]
+    fn edit_restore_cycles_never_share_a_live_atom() {
+        use bane_util::rng::SplitMix64;
+        let original: Vec<(SetExpr, SetExpr)> =
+            (0..64).map(|i| (Var::new(i).into(), Var::new(i + 1).into())).collect();
+        let mut g = LiveGroup::new(3, original.clone());
+        let mut rng = SplitMix64::new(17);
+        for round in 0..200 {
+            let mut edited = original.clone();
+            edited.remove(rng.next_below(edited.len() as u64) as usize);
+            if rng.next_below(2) == 0 {
+                edited.push((Var::new(100 + round).into(), Var::new(0).into()));
+            }
+            for contents in [edited, original.clone()] {
+                let (_, fresh) = g.rebind(3, contents);
+                let mut live = g.atoms.clone();
+                live.sort_unstable();
+                live.dedup();
+                assert_eq!(live.len(), g.atoms.len(), "round {round}: a live atom is shared");
+                assert!(live.iter().all(|&a| a / ATOM_BUCKETS == 3), "atoms stay in the group");
+                assert!(fresh.iter().all(|f| g.atoms.contains(&f.2)));
+            }
+        }
     }
 
     #[test]

@@ -287,10 +287,11 @@ fn live_constraints_track_group_liveness() {
 /// The fast-repair/replay decision of every commit of 24 seeded
 /// single-constraint edit-and-undo transactions on povray-2.2 at scale 0.1
 /// in 75 groups, the `serve-edit` benchmark's system (`R` = repaired in
-/// place, `P` = replayed). Provenance bookkeeping may change how and when
-/// sets are interned, never which atoms a fact carries, so the decisions
-/// are pinned exactly. (At scale 0.05 every edit replays: the collapse
-/// justifications saturate, so that system would pin only one branch.)
+/// place, `P` = replayed). Provenance bookkeeping may change how unions
+/// are stored, never which atoms a fact carries, so the decisions are
+/// pinned exactly; finer atoms may move a commit from `P` to `R` only.
+/// (Scale 0.1 because at 0.05 every edit replayed when this was first
+/// recorded, so that system pinned only one branch.)
 const EDIT_UNDO_PATHS: &str = "RRRRPRPRRRRRPRPRRRRRRRPRPRPRRRPRPRPRPRRRRRRRPRPR";
 
 #[test]
